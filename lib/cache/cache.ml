@@ -1,19 +1,23 @@
-type outcome = Hit of int | Miss
-
-(* Each set stores tags in recency order: index 0 is MRU.  [fill] tracks how
-   many ways of the set are valid; valid tags occupy the prefix.  For FIFO,
-   [age_order] tracks tags in insertion order so hits do not disturb the
-   victim cursor.  For partitioned caches, [owners] mirrors [recency] with
-   the inserting owner of every line. *)
+(* Tags live in one flat array: set [s] owns the [ways] slots starting at
+   [s * ways], in recency order (slot 0 of the set is MRU).  [fill] tracks
+   how many ways of each set are valid; valid tags occupy the prefix.  For
+   FIFO, [ages] holds each set's tags in insertion order so hits do not
+   disturb the victim cursor.  For partitioned caches, [owners] mirrors
+   [tags] with the inserting owner of every line.  Arrays a policy does not
+   use are empty. *)
 type t = {
   geometry : Geometry.t;
   policy : Replacement.t;
-  recency : int array array;  (* per-set tags in recency order (MRU first) *)
+  ways : int;
+  set_shift : int;
+  set_mask : int;
+  tags : int array;  (* sets * ways, each set MRU first *)
   fill : int array;  (* valid ways per set *)
-  age_order : int array array option;  (* FIFO: tags in insertion order *)
+  ages : int array;  (* FIFO: each set's tags in insertion order *)
   rng : Mppm_util.Rng.t option;  (* Random policy only *)
-  partition : int array option;  (* way quotas per owner *)
-  owners : int array array option;  (* per-set owners, parallel to recency *)
+  quotas : int array;  (* way quotas per owner; empty when unpartitioned *)
+  owners : int array;  (* per-line owners, parallel to [tags] *)
+  counts : int array;  (* per-owner census scratch for victim selection *)
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
@@ -24,31 +28,41 @@ let invalid_tag = -1
 let create ?(policy = Replacement.Lru) ?partition geometry =
   let sets = geometry.Geometry.num_sets in
   let ways = geometry.Geometry.associativity in
-  let make_tags () = Array.init sets (fun _ -> Array.make ways invalid_tag) in
-  (match partition with
-  | None -> ()
-  | Some quotas ->
-      if policy <> Replacement.Lru then
-        invalid_arg "Cache.create: partitioning requires the LRU policy";
-      if Array.length quotas = 0 then invalid_arg "Cache.create: empty partition";
-      Array.iter
-        (fun q -> if q <= 0 then invalid_arg "Cache.create: non-positive quota")
-        quotas;
-      if Array.fold_left ( + ) 0 quotas > ways then
-        invalid_arg "Cache.create: quotas exceed associativity");
+  let lines = sets * ways in
+  let quotas =
+    match partition with
+    | None -> [||]
+    | Some quotas ->
+        if policy <> Replacement.Lru then
+          invalid_arg "Cache.create: partitioning requires the LRU policy";
+        if Array.length quotas = 0 then invalid_arg "Cache.create: empty partition";
+        Array.iter
+          (fun q -> if q <= 0 then invalid_arg "Cache.create: non-positive quota")
+          quotas;
+        if Array.fold_left ( + ) 0 quotas > ways then
+          invalid_arg "Cache.create: quotas exceed associativity";
+        Array.copy quotas
+  in
+  let partitioned = Array.length quotas > 0 in
   {
     geometry;
     policy;
-    recency = make_tags ();
+    ways;
+    set_shift = geometry.Geometry.set_shift;
+    set_mask = geometry.Geometry.set_mask;
+    tags = Array.make lines invalid_tag;
     fill = Array.make sets 0;
-    age_order =
-      (match policy with Replacement.Fifo -> Some (make_tags ()) | _ -> None);
+    ages =
+      (match policy with
+      | Replacement.Fifo -> Array.make lines invalid_tag
+      | _ -> [||]);
     rng =
       (match policy with
       | Replacement.Random seed -> Some (Mppm_util.Rng.create ~seed)
       | _ -> None);
-    partition = Option.map Array.copy partition;
-    owners = (match partition with Some _ -> Some (make_tags ()) | None -> None);
+    quotas;
+    owners = (if partitioned then Array.make lines invalid_tag else [||]);
+    counts = Array.make (Array.length quotas) 0;
     accesses = 0;
     hits = 0;
     misses = 0;
@@ -56,30 +70,27 @@ let create ?(policy = Replacement.Lru) ?partition geometry =
 
 let geometry t = t.geometry
 
-(* Toplevel so the per-access search allocates no closure; tags are ints,
+(* Position of [tag] among the [fill] valid slots from [base], or -1.
+   Toplevel so the per-access search allocates no closure; tags are ints,
    so the comparison is monomorphic. *)
-(* mppm: unit _ -- way position option of a tag probe *)
-let rec scan_set set fill tag i =
-  if i >= fill then None
-  else if Int.equal set.(i) tag then Some i
-  else scan_set set fill tag (i + 1)
+(* mppm: unit ways -- recency position within a set *)
+let rec scan_set tags base fill tag i =
+  if i >= fill then -1
+  else if Int.equal tags.(base + i) tag then i
+  else scan_set tags base fill tag (i + 1)
 
-(* mppm: unit _ -- way position option of a tag probe *)
-let find_in_set set fill tag = scan_set set fill tag 0
+(* mppm: unit ways -- recency position within a set *)
+let find_in_set tags base fill tag = scan_set tags base fill tag 0
 
-(* Shift a.(0..len-1) down one slot and place [v] at the front.  A manual
-   loop beats Array.blit at these sizes (<= 16 elements) and this is the
-   simulator's innermost operation. *)
-let shift_down_and_front a len v =
-  for i = len - 1 downto 1 do
+(* Shift a.(base..base+len-1) down one slot and place [v] at the front.  A
+   manual loop beats Array.blit at these sizes (<= 16 elements) and this is
+   the simulator's innermost operation. *)
+let shift_down_and_front a base len v =
+  for i = base + len - 1 downto base + 1 do
     a.(i) <- a.(i - 1)
   done;
-  a.(0) <- v
+  a.(base) <- v
 
-(* Choose the victim recency position for a partitioned set: an owner at or
-   above quota evicts its own LRU line; otherwise the LRU line of any
-   over-quota owner; otherwise the global LRU line (preferring other
-   owners' lines). *)
 (* The three victim predicates, int-coded so the recency scan below stays
    closure-free on the miss path: 0 = the owner's own line, 1 = a line of
    any over-quota owner, 2 = any other owner's line. *)
@@ -90,115 +101,111 @@ let victim_matches kind counts quotas owner o =
   | 1 -> o >= 0 && o < Array.length quotas && counts.(o) > quotas.(o)
   | _ -> not (Int.equal o owner)
 
-(* Deepest (least-recent) position in [owners_row.(0..from)] matching the
-   predicate, or -1. *)
+(* Deepest (least-recent) position in the set's owners up to [from]
+   matching the predicate, or -1. *)
 (* mppm: unit ways -- recency depth within a set *)
-let rec deepest_from owners_row counts quotas owner kind from =
+let rec deepest_from t base owner kind from =
   if from < 0 then -1
-  else if victim_matches kind counts quotas owner owners_row.(from) then from
-  else deepest_from owners_row counts quotas owner kind (from - 1)
+  else if victim_matches kind t.counts t.quotas owner t.owners.(base + from) then
+    from
+  else deepest_from t base owner kind (from - 1)
 
+(* Choose the victim recency position for a full partitioned set: an owner
+   at or above quota evicts its own LRU line; otherwise the LRU line of any
+   over-quota owner; otherwise the global LRU line (preferring other
+   owners' lines).  The owner census reuses the cache's scratch array. *)
 (* mppm: unit ways -- victim recency position *)
-let partition_victim owners_row ways quotas owner =
-  let n_owners = Array.length quotas in
-  (* lint: allow P1 per-victim owner census; partitioned mode only (fig 6) *)
-  let counts = Array.make n_owners 0 in
-  for i = 0 to ways - 1 do
-    let o = owners_row.(i) in
+let partition_victim t base owner =
+  let ways = t.ways in
+  let counts = t.counts in
+  let n_owners = Array.length counts in
+  Array.fill counts 0 n_owners 0;
+  for i = base to base + ways - 1 do
+    let o = t.owners.(i) in
     if o >= 0 && o < n_owners then counts.(o) <- counts.(o) + 1
   done;
-  if counts.(owner) >= quotas.(owner) && counts.(owner) > 0 then begin
-    let pos = deepest_from owners_row counts quotas owner 0 (ways - 1) in
+  if counts.(owner) >= t.quotas.(owner) && counts.(owner) > 0 then begin
+    let pos = deepest_from t base owner 0 (ways - 1) in
     if pos >= 0 then pos else ways - 1
   end
   else
-    let pos = deepest_from owners_row counts quotas owner 1 (ways - 1) in
+    let pos = deepest_from t base owner 1 (ways - 1) in
     if pos >= 0 then pos
     else
-      let pos = deepest_from owners_row counts quotas owner 2 (ways - 1) in
+      let pos = deepest_from t base owner 2 (ways - 1) in
       if pos >= 0 then pos else ways - 1
 
+(* FIFO victim: the set's oldest insertion.  Rotates the set's ages with
+   [tag] as the newest and returns the victim's recency position. *)
+(* mppm: unit ways -- victim recency position *)
+let fifo_victim t base tag =
+  let ages = t.ages in
+  let victim_tag = ages.(base) in
+  Array.blit ages (base + 1) ages base (t.ways - 1);
+  ages.(base + t.ways - 1) <- tag;
+  let pos = find_in_set t.tags base t.ways victim_tag in
+  assert (pos >= 0);
+  pos
+
+(* Put [tag] (inserted by [owner]) at the MRU slot, dropping the line at
+   recency position [victim_pos] (or the first invalid slot). *)
+let insert t base victim_pos tag owner =
+  shift_down_and_front t.tags base (victim_pos + 1) tag;
+  if Array.length t.owners > 0 then
+    shift_down_and_front t.owners base (victim_pos + 1) owner
+
+(* mppm: unit ways -- 0 = miss, d >= 1 = hit at recency depth d *)
 let access_as t ~owner addr =
-  let set_idx = Geometry.set_index t.geometry addr in
-  let tag = Geometry.tag t.geometry addr in
-  let set = t.recency.(set_idx) in
+  let line = addr lsr t.set_shift in
+  let set_idx = line land t.set_mask in
+  let ways = t.ways in
+  let base = set_idx * ways in
   let fill = t.fill.(set_idx) in
+  let partitioned = Array.length t.quotas > 0 in
   t.accesses <- t.accesses + 1;
-  (match t.partition with
-  | Some quotas ->
-      if owner < 0 || owner >= Array.length quotas then
-        invalid_arg "Cache.access_as: owner outside the partition"
-  | None -> ());
-  match find_in_set set fill tag with
-  | Some pos ->
-      t.hits <- t.hits + 1;
-      let tag = set.(pos) in
-      shift_down_and_front set (pos + 1) tag;
-      (match t.owners with
-      | Some owners ->
-          let row = owners.(set_idx) in
-          let o = row.(pos) in
-          shift_down_and_front row (pos + 1) o
-      | None -> ());
-      Hit (pos + 1)
-  | None ->
-      t.misses <- t.misses + 1;
-      let ways = t.geometry.Geometry.associativity in
-      if fill < ways then begin
-        (* Grow the valid prefix: shift it down, new tag in front. *)
-        shift_down_and_front set (fill + 1) tag;
-        t.fill.(set_idx) <- fill + 1;
-        (match t.owners with
-        | Some owners -> shift_down_and_front owners.(set_idx) (fill + 1) owner
-        | None -> ());
-        (match t.age_order with
-        | Some ages -> ages.(set_idx).(fill) <- tag
-        | None -> ());
-        Miss
-      end
-      else begin
-        (* lint: allow P1 one insert closure per miss; shared across the four replacement arms *)
-        let insert victim_pos =
-          shift_down_and_front set (victim_pos + 1) tag;
-          match t.owners with
-          | Some owners ->
-              shift_down_and_front owners.(set_idx) (victim_pos + 1) owner
-          | None -> ()
-        in
-        (match (t.partition, t.policy) with
-        | Some quotas, _ ->
-            let owners_row =
-              match t.owners with Some o -> o.(set_idx) | None -> assert false
-            in
-            insert (partition_victim owners_row ways quotas owner)
-        | None, Replacement.Lru -> insert (ways - 1)
-        | None, Replacement.Random _ ->
-            let rng = match t.rng with Some r -> r | None -> assert false in
-            insert (Mppm_util.Rng.int rng ways)
-        | None, Replacement.Fifo ->
-            let ages =
-              match t.age_order with Some a -> a.(set_idx) | None -> assert false
-            in
-            (* Victim is the oldest insertion: ages.(0).  Rotate ages and
-               replace the victim in the recency array. *)
-            let victim_tag = ages.(0) in
-            Array.blit ages 1 ages 0 (ways - 1);
-            ages.(ways - 1) <- tag;
-            let victim_pos =
-              match find_in_set set fill victim_tag with
-              | Some p -> p
-              | None -> assert false
-            in
-            insert victim_pos);
-        Miss
-      end
+  if partitioned && (owner < 0 || owner >= Array.length t.quotas) then
+    invalid_arg "Cache.access_as: owner outside the partition";
+  let pos = find_in_set t.tags base fill line in
+  if pos >= 0 then begin
+    t.hits <- t.hits + 1;
+    shift_down_and_front t.tags base (pos + 1) line;
+    if partitioned then
+      shift_down_and_front t.owners base (pos + 1) t.owners.(base + pos);
+    pos + 1
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    if fill < ways then begin
+      (* Grow the valid prefix: shift it down, new tag in front. *)
+      insert t base fill line owner;
+      t.fill.(set_idx) <- fill + 1;
+      match t.policy with
+      | Replacement.Fifo -> t.ages.(base + fill) <- line
+      | Replacement.Lru | Replacement.Random _ -> ()
+    end
+    else begin
+      let victim_pos =
+        if partitioned then partition_victim t base owner
+        else
+          match t.policy with
+          | Replacement.Lru -> ways - 1
+          | Replacement.Random _ -> (
+              match t.rng with
+              | Some rng -> Mppm_util.Rng.int rng ways
+              | None -> assert false)
+          | Replacement.Fifo -> fifo_victim t base line
+      in
+      insert t base victim_pos line owner
+    end;
+    0
+  end
 
 let access t addr = access_as t ~owner:0 addr
 
 let probe t addr =
-  let set_idx = Geometry.set_index t.geometry addr in
-  let tag = Geometry.tag t.geometry addr in
-  find_in_set t.recency.(set_idx) t.fill.(set_idx) tag <> None
+  let line = addr lsr t.set_shift in
+  let set_idx = line land t.set_mask in
+  find_in_set t.tags (set_idx * t.ways) t.fill.(set_idx) line >= 0
 
 let accesses t = t.accesses
 let hits t = t.hits
@@ -213,35 +220,29 @@ let reset_stats t =
   t.misses <- 0
 
 let clear t =
-  Array.iteri
-    (fun i set ->
-      Array.fill set 0 (Array.length set) invalid_tag;
-      t.fill.(i) <- 0)
-    t.recency;
-  (match t.age_order with
-  | Some ages ->
-      Array.iter (fun set -> Array.fill set 0 (Array.length set) invalid_tag) ages
-  | None -> ());
-  (match t.owners with
-  | Some owners ->
-      Array.iter (fun row -> Array.fill row 0 (Array.length row) invalid_tag) owners
-  | None -> ());
+  let invalidate a = Array.fill a 0 (Array.length a) invalid_tag in
+  invalidate t.tags;
+  invalidate t.ages;
+  invalidate t.owners;
+  Array.fill t.fill 0 (Array.length t.fill) 0;
   reset_stats t
 
 let resident_lines t = Array.fold_left ( + ) 0 t.fill
 
 let owner_lines t ~owner =
-  match t.owners with
-  | Some owners ->
-      let total = ref 0 in
-      Array.iteri
-        (fun set_idx row ->
-          for i = 0 to t.fill.(set_idx) - 1 do
-            if row.(i) = owner then incr total
-          done)
-        owners;
-      !total
-  | None -> if owner = 0 then resident_lines t else 0
+  if Array.length t.owners > 0 then begin
+    let total = ref 0 in
+    Array.iteri
+      (fun set_idx fill ->
+        let base = set_idx * t.ways in
+        for i = base to base + fill - 1 do
+          if t.owners.(i) = owner then incr total
+        done)
+      t.fill;
+    !total
+  end
+  else if owner = 0 then resident_lines t
+  else 0
 
 let counters t =
   [

@@ -3,17 +3,15 @@
     The model tracks only tags (no data), which is all a timing/contention
     study needs.  Every access reports its LRU-stack depth on a hit, so a
     single pass both simulates the cache and yields the stack-distance
-    profile. *)
+    profile.
+
+    Outcomes are int-coded so the per-access path allocates nothing: [0]
+    is a miss and [d >= 1] a hit at 1-based recency depth [d] of the set
+    ([1] = most recently used).  For non-LRU policies the depth is still
+    the recency depth, maintained alongside the policy. *)
 
 type t
 (** A mutable cache instance. *)
-
-type outcome =
-  | Hit of int
-      (** [Hit depth]: the access hit at 1-based LRU depth [depth] of its
-          set ([1] = most recently used).  For non-LRU policies the depth is
-          still the recency depth, maintained alongside the policy. *)
-  | Miss
 
 val create : ?policy:Replacement.t -> ?partition:int array -> Geometry.t -> t
 (** [create ~policy ~partition geometry] is an empty (all-invalid) cache.
@@ -29,12 +27,13 @@ val create : ?policy:Replacement.t -> ?partition:int array -> Geometry.t -> t
 val geometry : t -> Geometry.t
 (** The geometry this cache was created with. *)
 
-val access : t -> int -> outcome  (* mppm: unit outcome *)
+val access : t -> int -> int  (* mppm: unit ways *)
 (** [access t addr] looks up the line containing byte address [addr],
     updates replacement state, fills the line on a miss, and updates the
-    statistics counters.  Equivalent to [access_as t ~owner:0 addr]. *)
+    statistics counters.  Returns the outcome code: [0] on a miss, the hit
+    depth otherwise.  Equivalent to [access_as t ~owner:0 addr]. *)
 
-val access_as : t -> owner:int -> int -> outcome  (* mppm: unit outcome *)
+val access_as : t -> owner:int -> int -> int  (* mppm: unit ways *)
 (** [access_as t ~owner addr] is {!access} on behalf of [owner] (a core
     index); only meaningful for partitioned caches, where the owner selects
     the victim policy described at {!create}.  [owner] must be within the

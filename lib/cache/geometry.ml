@@ -14,10 +14,10 @@ let log2_exact x =
   go 0 x
 
 let make ~size_bytes ~line_bytes ~associativity =
-  if not (is_power_of_two size_bytes) then
-    invalid_arg "Geometry.make: size_bytes must be a power of two";
   if not (is_power_of_two line_bytes) then
     invalid_arg "Geometry.make: line_bytes must be a power of two";
+  if size_bytes <= 0 || size_bytes mod line_bytes <> 0 then
+    invalid_arg "Geometry.make: size_bytes must be a positive multiple of line_bytes";
   if associativity <= 0 then
     invalid_arg "Geometry.make: associativity must be positive";
   let total_lines = size_bytes / line_bytes in

@@ -3,7 +3,7 @@
     the stack-distance profiler. *)
 
 type t = private {
-  size_bytes : int;  (** total capacity in bytes; power of two *)
+  size_bytes : int;  (** total capacity in bytes; a multiple of [line_bytes] *)
   line_bytes : int;  (** line size in bytes; power of two *)
   associativity : int;  (** ways per set; must divide the line count *)  (* mppm: unit ways *)
   num_sets : int;  (** derived: [size_bytes / line_bytes / associativity] *)  (* mppm: unit sets *)
@@ -13,8 +13,10 @@ type t = private {
 
 val make : size_bytes:int -> line_bytes:int -> associativity:int -> t
 (** [make ~size_bytes ~line_bytes ~associativity] validates the parameters
-    (powers of two, associativity divides the line count) and derives the
-    indexing fields.  Raises [Invalid_argument] on malformed geometry. *)
+    (power-of-two line size and set count, associativity divides the line
+    count; the capacity itself need not be a power of two, so a 3-way
+    cache is expressible) and derives the indexing fields.  Raises
+    [Invalid_argument] on malformed geometry. *)
 
 val kib : int -> int  (* mppm: unit _ -> bytes *)
 (** [kib n] is [n] kibibytes in bytes. *)

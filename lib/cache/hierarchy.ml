@@ -8,14 +8,7 @@ type config = {
   memory_latency : int;
 }
 
-type hit_level = L1 | L2 | Llc | Memory
 type access_kind = Fetch | Load | Store
-
-type result = {
-  latency : int;
-  hit_level : hit_level;
-  llc_outcome : Cache.outcome option;
-}
 
 type t = {
   config : config;
@@ -27,6 +20,7 @@ type t = {
   perfect_llc : bool;
   mutable llc_accesses : int;
   mutable llc_misses : int;
+  mutable llc_depth : int;
 }
 
 let create ?llc ?(llc_owner = 0) ?(perfect_llc = false) config =
@@ -48,56 +42,51 @@ let create ?llc ?(llc_owner = 0) ?(perfect_llc = false) config =
     perfect_llc;
     llc_accesses = 0;
     llc_misses = 0;
+    llc_depth = -1;
   }
 
 let config t = t.config
 let llc t = t.llc_cache
 
-(* mppm: unit result *)
+let level_latency config ~kind level =
+  match level with
+  | 0 -> (
+      match kind with
+      | Fetch -> config.l1i.latency
+      | Load | Store -> config.l1d.latency)
+  | 1 -> config.l2.latency
+  | 2 -> config.llc.latency
+  | _ -> config.llc.latency + config.memory_latency
+
+(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = LLC, 3 = memory *)
 let access t ~kind ~addr =
-  (* Two small matches instead of one returning a pair: the L1 split must
-     not allocate on the per-access path. *)
   let l1 =
     match kind with Fetch -> t.l1i_cache | Load | Store -> t.l1d_cache
   in
-  let l1_latency =
-    match kind with
-    | Fetch -> t.config.l1i.latency
-    | Load | Store -> t.config.l1d.latency
-  in
-  match Cache.access l1 addr with
-  | Cache.Hit _ ->
-      (* lint: allow P1 per-access result record; packed-int results belong to the ROADMAP-2 rewrite *)
-      { latency = l1_latency; hit_level = L1; llc_outcome = None }
-  | Cache.Miss -> (
-      match Cache.access t.l2_cache addr with
-      | Cache.Hit _ ->
-          (* lint: allow P1 per-access result record; see above *)
-          { latency = t.config.l2.latency; hit_level = L2; llc_outcome = None }
-      | Cache.Miss ->
-          t.llc_accesses <- t.llc_accesses + 1;
-          (* A perfect LLC hits on every access and keeps no state. *)
-          let outcome =
-            if t.perfect_llc then Cache.Hit 1
-            else Cache.access_as t.llc_cache ~owner:t.llc_owner addr
-          in
-          (match outcome with
-          | Cache.Hit _ ->
-              (* lint: allow P1 per-access result record; see above *)
-              {
-                latency = t.config.llc.latency;
-                hit_level = Llc;
-                llc_outcome = Some outcome;
-              }
-          | Cache.Miss ->
-              t.llc_misses <- t.llc_misses + 1;
-              (* lint: allow P1 per-access result record; see above *)
-              {
-                latency = t.config.llc.latency + t.config.memory_latency;
-                hit_level = Memory;
-                llc_outcome = Some outcome;
-              }))
+  if Cache.access l1 addr > 0 then begin
+    t.llc_depth <- -1;
+    0
+  end
+  else if Cache.access t.l2_cache addr > 0 then begin
+    t.llc_depth <- -1;
+    1
+  end
+  else begin
+    t.llc_accesses <- t.llc_accesses + 1;
+    (* A perfect LLC hits on every access and keeps no state. *)
+    let depth =
+      if t.perfect_llc then 1
+      else Cache.access_as t.llc_cache ~owner:t.llc_owner addr
+    in
+    t.llc_depth <- depth;
+    if depth > 0 then 2
+    else begin
+      t.llc_misses <- t.llc_misses + 1;
+      3
+    end
+  end
 
+let llc_depth t = t.llc_depth
 let llc_accesses t = t.llc_accesses
 let llc_misses t = t.llc_misses
 

@@ -22,19 +22,8 @@ type config = {
 }
 (** Full hierarchy parameters. *)
 
-type hit_level = L1 | L2 | Llc | Memory
-(** Where an access was satisfied. *)
-
 type access_kind = Fetch | Load | Store
 (** Instruction fetch vs. data read vs. data write. *)
-
-type result = {
-  latency : int;  (** cycles to satisfy the access *)  (* mppm: unit cycles *)
-  hit_level : hit_level;
-  llc_outcome : Cache.outcome option;
-      (** outcome at the LLC if the access reached it (i.e. missed L2);
-          [None] otherwise.  Lets profilers histogram LLC stack depths. *)
-}
 
 type t
 (** One core's view of the hierarchy. *)
@@ -54,9 +43,23 @@ val config : t -> config
 val llc : t -> Cache.t
 (** The (possibly shared) last-level cache instance. *)
 
-val access : t -> kind:access_kind -> addr:int -> result
+val access : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ *)
 (** Simulates the access through L1 (instruction or data side per [kind]),
-    then L2, then LLC, then memory. *)
+    then L2, then LLC, then memory, and returns the level code of where it
+    was satisfied: [0] = L1, [1] = L2, [2] = LLC, [3] = memory (an LLC
+    miss).  The LLC's own outcome is left in {!llc_depth}.  Nothing is
+    allocated per access. *)
+
+val llc_depth : t -> int  (* mppm: unit ways *)
+(** The LLC outcome code of the latest {!access}: [-1] if it never reached
+    the LLC, [0] if it missed there, [d >= 1] if it hit at recency depth
+    [d] (always [1] under [perfect_llc]).  This is what profilers
+    histogram into stack-distance counters. *)
+
+val level_latency : config -> kind:access_kind -> int -> int  (* mppm: unit _ -> kind:_ -> _ -> cycles *)
+(** [level_latency config ~kind level] is the latency in cycles of an
+    access of [kind] satisfied at level code [level] (as returned by
+    {!access}); memory costs the LLC latency plus [memory_latency]. *)
 
 val llc_accesses : t -> int  (* mppm: unit accesses *)
 (** LLC lookups issued by this core's hierarchy. *)

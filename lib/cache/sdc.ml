@@ -10,7 +10,7 @@ let mass_close a b =
 
 let create ~assoc =
   if assoc <= 0 then invalid_arg "Sdc.create: assoc must be positive";
-  (* lint: allow P1 per-window SDC; the flat-profile rewrite (ROADMAP item 2) reuses scratch *)
+  (* lint: allow P1 per-window SDC of Profile.window; prefix-sum profiles (ROADMAP item 3) remove it *)
   { assoc; counters = Array.make (assoc + 1) 0.0 }
 
 let assoc t = t.assoc
@@ -61,7 +61,7 @@ let add_into ~dst src =
 
 let scale t k =
   if k < 0.0 then invalid_arg "Sdc.scale: negative factor";
-  (* lint: allow P1 per-window rescale; the flat-profile rewrite (ROADMAP item 2) scales in place *)
+  (* lint: allow P1 per-window rescale in Profile.window; prefix-sum profiles (ROADMAP item 3) remove it *)
   let scaled = { assoc = t.assoc; counters = Array.map (fun v -> v *. k) t.counters } in
   if Invariant.enabled () then
     Invariant.check "sdc.scale_mass"

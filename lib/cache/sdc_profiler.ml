@@ -1,5 +1,8 @@
+(* The private cache image is built on the first [access]: a profiler fed
+   through [record] from an external cache (the core engine's profiling
+   runs) never allocates one. *)
 type t = {
-  cache : Cache.t;
+  cache : Cache.t Lazy.t;
   mutable current : Sdc.t;
   total : Sdc.t;
 }
@@ -7,24 +10,21 @@ type t = {
 let create geometry =
   let assoc = geometry.Geometry.associativity in
   {
-    cache = Cache.create ~policy:Replacement.Lru geometry;
+    cache = lazy (Cache.create ~policy:Replacement.Lru geometry);
     current = Sdc.create ~assoc;
     total = Sdc.create ~assoc;
   }
 
-
 (* mppm: hot — per-access profiling hook *)
-let record_outcome t outcome =
-  let depth =
-    match outcome with Cache.Hit d -> d | Cache.Miss -> max_int
-  in
+let record t code =
+  let depth = if code > 0 then code else max_int in
   Sdc.record t.current ~depth;
   Sdc.record t.total ~depth
 
 let access t addr =
-  let outcome = Cache.access t.cache addr in
-  record_outcome t outcome;
-  outcome
+  let code = Cache.access (Lazy.force t.cache) addr in
+  record t code;
+  code
 
 let cut_interval t =
   let finished = t.current in

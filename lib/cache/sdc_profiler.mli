@@ -10,16 +10,20 @@ type t
 
 val create : Geometry.t -> t  (* mppm: unit _ -> profiler *)
 (** [create geometry] profiles a cache of the given geometry (always LRU:
-    stack distances are defined against the LRU stack). *)
+    stack distances are defined against the LRU stack).  The private cache
+    image is allocated on the first {!access}, so a profiler fed only
+    through {!record} costs no cache memory. *)
 
-val access : t -> int -> Cache.outcome  (* mppm: unit _ -> _ -> outcome *)
+val access : t -> int -> int  (* mppm: unit _ -> _ -> ways *)
 (** [access t addr] simulates the access, records its depth in the current
-    interval, and reports the outcome. *)
+    interval, and reports the {!Cache.access} outcome code ([0] = miss,
+    [d >= 1] = hit at depth [d]). *)
 
-val record_outcome : t -> Cache.outcome -> unit  (* mppm: unit _ -> _ -> _ *)
-(** [record_outcome t outcome] histograms an outcome observed on an
-    *external* cache of the same geometry, without touching the internal
-    image.  Used when the profiled cache is simulated elsewhere. *)
+val record : t -> int -> unit  (* mppm: unit _ -> ways -> _ *)
+(** [record t code] histograms an outcome code ([0] = miss, [d >= 1] = hit
+    at depth [d]) observed on an *external* cache of the same geometry,
+    without touching the internal image.  Used when the profiled cache is
+    simulated elsewhere. *)
 
 val cut_interval : t -> Sdc.t  (* mppm: unit sdc *)
 (** [cut_interval t] returns the SDC accumulated since the previous cut

@@ -49,6 +49,14 @@ type core_state = {
    is bounded by the generator's memory gaps anyway). *)
 let post_pass_cap = 1 lsl 20
 
+(* Index of the core with the smallest cycle clock, the first on ties.
+   Reads the engines' live clocks directly: no closure, no float refs. *)
+let rec earliest (clocks : Core_engine.clock array) i best =
+  if i >= Array.length clocks then best
+  else if clocks.(i).Core_engine.cycles < clocks.(best).Core_engine.cycles then
+    earliest clocks (i + 1) i
+  else earliest clocks (i + 1) best
+
 let run ?compute_scales cfg ~programs ~trace_instructions =
   if Array.length programs = 0 then invalid_arg "Multi_core.run: no programs";
   (match compute_scales with
@@ -93,21 +101,12 @@ let run ?compute_scales cfg ~programs ~trace_instructions =
         })
       programs
   in
+  let clocks = Array.map (fun core -> Core_engine.clock core.engine) cores in
   let unfinished = ref (Array.length cores) in
   while !unfinished > 0 do
     (* The core with the smallest cycle clock executes its next op: this
        orders LLC accesses by (approximate) time. *)
-    let next = ref (-1) in
-    let best = ref infinity in
-    Array.iteri
-      (fun i core ->
-        let c = Core_engine.cycles core.engine in
-        if c < !best then begin
-          best := c;
-          next := i
-        end)
-      cores;
-    let core = cores.(!next) in
+    let core = cores.(earliest clocks 1 0) in
     let cap =
       if core.first_pass_done then post_pass_cap
       else trace_instructions - Core_engine.retired core.engine

@@ -1,9 +1,12 @@
 module Hierarchy = Mppm_cache.Hierarchy
 module Sdc_profiler = Mppm_cache.Sdc_profiler
 module Generator = Mppm_trace.Generator
-module Op = Mppm_trace.Op
 module Benchmark = Mppm_trace.Benchmark
 module Invariant = Mppm_util.Invariant
+
+(* All-float, so its fields are stored flat and updating them boxes
+   nothing. *)
+type clock = { mutable cycles : float; mutable memory_stall_cycles : float }
 
 type t = {
   params : Core_model.params;
@@ -12,11 +15,9 @@ type t = {
   sdc_profiler : Sdc_profiler.t option;
   memory_channel : Memory_channel.t option;
   compute_scale : float;
+  stalls : Core_model.stalls;
+  clock : clock;
   mutable fetch_debt : int;
-  mutable cycles : float;
-  mutable memory_stall_cycles : float;
-  mutable llc_accesses : int;
-  mutable llc_misses : int;
 }
 
 let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0) ~params
@@ -30,115 +31,111 @@ let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0) ~params
     sdc_profiler;
     memory_channel;
     compute_scale;
+    stalls = Core_model.stalls params (Hierarchy.config hierarchy);
+    clock = { cycles = 0.0; memory_stall_cycles = 0.0 };
     fetch_debt = 0;
-    cycles = 0.0;
-    memory_stall_cycles = 0.0;
-    llc_accesses = 0;
-    llc_misses = 0;
   }
 
-let note_llc t (result : Hierarchy.result) =
-  match result.llc_outcome with
-  | None -> ()
-  | Some outcome ->
-      t.llc_accesses <- t.llc_accesses + 1;
-      (match outcome with
-      | Mppm_cache.Cache.Miss -> t.llc_misses <- t.llc_misses + 1
-      | Mppm_cache.Cache.Hit _ -> ());
-      (match t.sdc_profiler with
-      | Some profiler -> Sdc_profiler.record_outcome profiler outcome
-      | None -> ())
+(* Hands the LLC outcome of an access that reached the LLC (level code 2
+   or 3) to the SDC profiler, if any. *)
+let note_llc t level =
+  if level >= 2 then
+    match t.sdc_profiler with
+    | Some profiler ->
+        Sdc_profiler.record profiler (Hierarchy.llc_depth t.hierarchy)
+    | None -> ()
 
 (* Queueing delay of an LLC miss on the shared memory channel, exposed the
    same way the raw miss latency is. *)
 let channel_delay t =
   match t.memory_channel with
   | None -> 0.0
-  | Some channel -> Memory_channel.request channel ~now:t.cycles
+  | Some channel -> Memory_channel.request channel ~now:t.clock.cycles
 
 (* mppm: hot — inner fetch loop of the simulator step *)
 let issue_fetches t count =
   t.fetch_debt <- t.fetch_debt + count;
-  let config = Hierarchy.config t.hierarchy in
+  let clock = t.clock and stalls = t.stalls in
   while t.fetch_debt >= Generator.instructions_per_fetch do
     t.fetch_debt <- t.fetch_debt - Generator.instructions_per_fetch;
     let addr = Generator.next_fetch t.generator in
-    let result = Hierarchy.access t.hierarchy ~kind:Hierarchy.Fetch ~addr in
-    let stall = Core_model.fetch_stall t.params result in
-    note_llc t result;
-    match result.hit_level with
-    | Hierarchy.Memory ->
+    let level = Hierarchy.access t.hierarchy ~kind:Hierarchy.Fetch ~addr in
+    note_llc t level;
+    match level with
+    | 3 ->
         (* Split the stall: the part an LLC hit would also have suffered
-           scales with the core; the off-chip extra does not. *)
-        let miss_extra =
-          Core_model.fetch_llc_miss_extra_stall t.params ~config
-        in
+           scales with the core; the off-chip extra and the channel's
+           queueing do not, and both count as memory stall. *)
+        let stall = stalls.Core_model.fetch.(3) in
+        let miss_extra = stalls.Core_model.fetch_miss_extra in
         let queueing =
           t.params.Core_model.fetch_exposure *. channel_delay t
         in
-        t.cycles <-
-          t.cycles
+        clock.cycles <-
+          clock.cycles
           +. (t.compute_scale *. (stall -. miss_extra))
           +. miss_extra +. queueing;
-        t.memory_stall_cycles <- t.memory_stall_cycles +. miss_extra +. queueing
-    | Hierarchy.L1 | Hierarchy.L2 | Hierarchy.Llc ->
-        t.cycles <- t.cycles +. (t.compute_scale *. stall)
+        clock.memory_stall_cycles <-
+          clock.memory_stall_cycles +. miss_extra +. queueing
+    | _ ->
+        clock.cycles <-
+          clock.cycles +. (t.compute_scale *. stalls.Core_model.fetch.(level))
   done
 
 (* mppm: hot — per-instruction simulator step *)
 let step t ~cap =
-  let cycles_before = t.cycles in
+  let clock = t.clock in
+  let cycles_before = clock.cycles in
   let phase = Generator.current_phase t.generator in
-  let op = Generator.next t.generator ~cap in
-  t.cycles <-
-    t.cycles
+  let instructions = Generator.emit t.generator ~cap in
+  clock.cycles <-
+    clock.cycles
     +. (t.compute_scale
-       *. float_of_int op.Op.instructions
+       *. float_of_int instructions
        *. phase.Benchmark.base_cpi);
-  issue_fetches t op.Op.instructions;
-  (match op.Op.access with
-  | None -> ()
-  | Some { Op.addr; kind } ->
-      let kind =
-        match kind with Op.Load -> Hierarchy.Load | Op.Store -> Hierarchy.Store
-      in
-      let result = Hierarchy.access t.hierarchy ~kind ~addr in
+  issue_fetches t instructions;
+  (match Generator.emitted_kind t.generator with
+  | 0 -> ()
+  | kind ->
+      let kind = match kind with 2 -> Hierarchy.Store | _ -> Hierarchy.Load in
+      let addr = Generator.emitted_addr t.generator in
+      let level = Hierarchy.access t.hierarchy ~kind ~addr in
+      note_llc t level;
+      let data = t.stalls.Core_model.data in
       let mlp = phase.Benchmark.mlp in
-      let stall = Core_model.data_stall t.params ~mlp result in
-      note_llc t result;
-      (match result.hit_level with
-      | Hierarchy.Memory ->
-          let miss_extra =
-            Core_model.llc_miss_extra_stall t.params
-              ~config:(Hierarchy.config t.hierarchy)
-              ~mlp
-          in
+      (match level with
+      | 0 | 1 -> clock.cycles <- clock.cycles +. (t.compute_scale *. data.(level))
+      | 2 -> clock.cycles <- clock.cycles +. (t.compute_scale *. (data.(2) /. mlp))
+      | _ ->
+          let stall = data.(3) /. mlp in
+          let miss_extra = stall -. (data.(2) /. mlp) in
           let queueing =
             t.params.Core_model.memory_exposure *. channel_delay t /. mlp
           in
-          t.cycles <-
-            t.cycles
+          clock.cycles <-
+            clock.cycles
             +. (t.compute_scale *. (stall -. miss_extra))
             +. miss_extra +. queueing;
-          t.memory_stall_cycles <- t.memory_stall_cycles +. miss_extra +. queueing
-      | Hierarchy.L1 | Hierarchy.L2 | Hierarchy.Llc ->
-          t.cycles <- t.cycles +. (t.compute_scale *. stall)));
+          clock.memory_stall_cycles <-
+            clock.memory_stall_cycles +. miss_extra +. queueing));
   if Invariant.enabled () then begin
-    Invariant.checkf "simcore.cycles_monotone" (t.cycles >= cycles_before)
+    Invariant.checkf "simcore.cycles_monotone" (clock.cycles >= cycles_before)
       (fun () ->
-        Printf.sprintf "cycle count fell from %g to %g" cycles_before t.cycles);
-    Invariant.check "simcore.cycles_finite" (Float.is_finite t.cycles);
+        Printf.sprintf "cycle count fell from %g to %g" cycles_before clock.cycles);
+    Invariant.check "simcore.cycles_finite" (Float.is_finite clock.cycles);
     Invariant.check "simcore.memory_stall_nonneg"
-      (t.memory_stall_cycles >= 0.0 && t.memory_stall_cycles <= t.cycles)
+      (clock.memory_stall_cycles >= 0.0
+      && clock.memory_stall_cycles <= clock.cycles)
   end;
-  op.Op.instructions
+  instructions
 
 let retired t = Generator.retired t.generator
 let hierarchy t = t.hierarchy
-let cycles t = t.cycles
-let memory_stall_cycles t = t.memory_stall_cycles
-let llc_accesses t = t.llc_accesses
-let llc_misses t = t.llc_misses
+let clock t = t.clock
+let cycles t = t.clock.cycles
+let memory_stall_cycles t = t.clock.memory_stall_cycles
+let llc_accesses t = Hierarchy.llc_accesses t.hierarchy
+let llc_misses t = Hierarchy.llc_misses t.hierarchy
 
 type snapshot = {
   s_retired : int;
@@ -151,17 +148,17 @@ type snapshot = {
 let snapshot t =
   {
     s_retired = retired t;
-    s_cycles = t.cycles;
-    s_memory_stall_cycles = t.memory_stall_cycles;
-    s_llc_accesses = t.llc_accesses;
-    s_llc_misses = t.llc_misses;
+    s_cycles = t.clock.cycles;
+    s_memory_stall_cycles = t.clock.memory_stall_cycles;
+    s_llc_accesses = llc_accesses t;
+    s_llc_misses = llc_misses t;
   }
 
 let since t s =
   {
     s_retired = retired t - s.s_retired;
-    s_cycles = t.cycles -. s.s_cycles;
-    s_memory_stall_cycles = t.memory_stall_cycles -. s.s_memory_stall_cycles;
-    s_llc_accesses = t.llc_accesses - s.s_llc_accesses;
-    s_llc_misses = t.llc_misses - s.s_llc_misses;
+    s_cycles = t.clock.cycles -. s.s_cycles;
+    s_memory_stall_cycles = t.clock.memory_stall_cycles -. s.s_memory_stall_cycles;
+    s_llc_accesses = llc_accesses t - s.s_llc_accesses;
+    s_llc_misses = llc_misses t - s.s_llc_misses;
   }

@@ -2,17 +2,31 @@
     shared by the single-core profiler and the detailed multi-core
     simulator.
 
-    The engine pulls {!Mppm_trace.Op.t} blocks from a generator, charges
-    base CPI for every retired instruction, issues one instruction fetch
-    per {!Mppm_trace.Generator.instructions_per_fetch} instructions, sends
+    The engine pulls blocks from a generator ({!Mppm_trace.Generator.emit}),
+    charges base CPI for every retired instruction, issues one instruction
+    fetch per {!Mppm_trace.Generator.instructions_per_fetch} instructions,
+    sends
     data references through the hierarchy, and accounts exposed stalls per
     {!Core_model}.  It additionally maintains a memory-CPI counter in the
     style of Eyerman et al.'s CPI-stack counter architecture: every access
     that misses the LLC adds the stall it suffered {e beyond} what an LLC
-    hit would have cost. *)
+    hit would have cost.
+
+    The per-block path allocates nothing: cache outcomes and hierarchy
+    levels come back as int codes, the generator leaves each block in its
+    own fields, and the cycle counters live in an all-float {!clock}. *)
 
 type t
 (** A core bound to its generator and hierarchy, with running counters. *)
+
+type clock = private {
+  mutable cycles : float;  (** total cycles consumed *)  (* mppm: unit cycles *)
+  mutable memory_stall_cycles : float;  (* mppm: unit cycles *)
+      (** cycles attributed to LLC misses by the counter architecture *)
+}
+(** The engine's running cycle counters, updated in place by {!step}.
+    Reading a field is a plain load with no call and no boxing, which is
+    how the multi-core scheduler compares the cores' clocks per op. *)
 
 val create :
   ?sdc_profiler:Mppm_cache.Sdc_profiler.t ->
@@ -49,6 +63,9 @@ val retired : t -> int  (* mppm: unit insns *)
 val hierarchy : t -> Mppm_cache.Hierarchy.t
 (** The hierarchy this core drives, e.g. for
     {!Mppm_cache.Hierarchy.counters} observability snapshots. *)
+
+val clock : t -> clock
+(** The live counters of this core (aliases the engine's state). *)
 
 val cycles : t -> float  (* mppm: unit cycles *)
 (** Total cycles consumed. *)

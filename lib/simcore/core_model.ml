@@ -19,33 +19,32 @@ let default =
     fetch_exposure = 0.70;
   }
 
+type stalls = {
+  data : float array;
+  fetch : float array;
+  fetch_miss_extra : float;
+}
+
 (* The L1 hit latency is pipelined away; only latency beyond it can stall. *)
-let extra_latency (result : Hierarchy.result) =
-  float_of_int (max 0 (result.latency - 1))
+let extra_latency config ~kind level =
+  float_of_int (max 0 (Hierarchy.level_latency config ~kind level - 1))
 
-let data_stall params ~mlp (result : Hierarchy.result) =
-  match result.hit_level with
-  | Hierarchy.L1 -> 0.0
-  | Hierarchy.L2 -> params.l2_exposure *. extra_latency result
-  | Hierarchy.Llc -> params.llc_exposure *. extra_latency result /. mlp
-  | Hierarchy.Memory -> params.memory_exposure *. extra_latency result /. mlp
-
-let fetch_stall params (result : Hierarchy.result) =
-  match result.hit_level with
-  | Hierarchy.L1 -> 0.0
-  | Hierarchy.L2 | Hierarchy.Llc | Hierarchy.Memory ->
-      params.fetch_exposure *. extra_latency result
-
-let llc_miss_extra_stall params ~config ~mlp =
-  let llc_latency = config.Hierarchy.llc.latency in
-  let miss_latency = llc_latency + config.Hierarchy.memory_latency in
-  (params.memory_exposure *. float_of_int (miss_latency - 1) /. mlp)
-  -. (params.llc_exposure *. float_of_int (llc_latency - 1) /. mlp)
-
-let fetch_llc_miss_extra_stall params ~config =
-  let llc_latency = config.Hierarchy.llc.latency in
-  let miss_latency = llc_latency + config.Hierarchy.memory_latency in
-  params.fetch_exposure *. float_of_int (miss_latency - llc_latency)
+(* Exposures are per level code; an L1 hit's is 0. *)
+let stalls params config =
+  let numerators ~kind exposures =
+    Array.mapi
+      (fun level exposure -> exposure *. extra_latency config ~kind level)
+      exposures
+  in
+  let fetch = params.fetch_exposure in
+  {
+    data =
+      numerators ~kind:Hierarchy.Load
+        [| 0.0; params.l2_exposure; params.llc_exposure; params.memory_exposure |];
+    fetch = numerators ~kind:Hierarchy.Fetch [| 0.0; fetch; fetch; fetch |];
+    fetch_miss_extra =
+      params.fetch_exposure *. float_of_int config.Hierarchy.memory_latency;
+  }
 
 let pp ppf params =
   Format.fprintf ppf

@@ -26,28 +26,31 @@ type params = {
 val default : params  (* mppm: unit params *)
 (** Calibrated defaults for the Table 1 core. *)
 
-val data_stall : params -> mlp:float -> Mppm_cache.Hierarchy.result -> float  (* mppm: unit mlp:1 -> cycles *)
-(** [data_stall params ~mlp result] is the exposed stall (cycles) of a data
-    access satisfied as [result].  L1 hits stall nothing (their latency is
-    folded into the base CPI); deeper hits expose
-    [exposure * (latency - 1)]; LLC and memory stalls are divided by
-    [mlp]. *)
+(** Exposed-stall numerators per hierarchy level code
+    ({!Mppm_cache.Hierarchy.access}: [0] = L1 ... [3] = memory), computed
+    once per core.  An access that hits level X exposes a fraction of X's
+    latency beyond the pipelined L1 hit: [exposure * (latency - 1)].  L1
+    hits stall nothing (their latency is folded into the base CPI). *)
+type stalls = {
+  data : float array;  (* mppm: unit cycles *)
+      (** data-access numerators by level code.  The off-core entries
+          (LLC, memory: codes 2 and 3) are divided by the phase's
+          memory-level parallelism at use; L2 stalls are not. *)
+  fetch : float array;  (* mppm: unit cycles *)
+      (** instruction-fetch stalls by level code (never divided by MLP:
+          front-end stalls are harder to hide) *)
+  fetch_miss_extra : float;  (* mppm: unit cycles *)
+      (** the part of a fetch's memory stall an LLC hit would not have
+          suffered: [fetch_exposure * memory_latency] *)
+}
 
-val fetch_stall : params -> Mppm_cache.Hierarchy.result -> float  (* mppm: unit cycles *)
-(** Exposed stall of an instruction fetch. *)
-
-(* mppm: unit mlp:1 -> cycles *)
-val llc_miss_extra_stall : params -> config:Mppm_cache.Hierarchy.config -> mlp:float -> float
-(** [llc_miss_extra_stall params ~config ~mlp] is the stall a data access
-    suffers {e because} it missed the LLC: the difference between its
-    memory stall and the stall it would have suffered as an LLC hit.  This
-    is the per-event increment of the memory-CPI counter architecture
-    (Eyerman et al.), and by construction equals the two-run
-    (perfect-vs-real LLC) difference. *)
-
-val fetch_llc_miss_extra_stall :  (* mppm: unit cycles *)
-  params -> config:Mppm_cache.Hierarchy.config -> float
-(** Same quantity for a fetch that missed the LLC. *)
+val stalls : params -> Mppm_cache.Hierarchy.config -> stalls  (* mppm: unit stalls *)
+(** [stalls params config] precomputes the numerators for a core with
+    [params] in front of [config].  The memory-CPI counter (Eyerman et
+    al.) charges a data access that missed the LLC
+    [data.(3) /. mlp -. data.(2) /. mlp] beyond what an LLC hit would have
+    cost; by construction that equals the two-run (perfect-vs-real LLC)
+    difference. *)
 
 val pp : Format.formatter -> params -> unit
 (** Human-readable rendering of the core parameters. *)

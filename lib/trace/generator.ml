@@ -9,13 +9,15 @@ let round_to_page bytes = (bytes + page_bytes - 1) / page_bytes * page_bytes
 type region_state = {
   region : Benchmark.region;
   base : int;
+  lines : int;  (* lines in the region, at least 1 *)
   mutable cursor : int;
 }
 
 type phase_state = {
   phase : Benchmark.phase;
   duration : int;
-  weights : float array;
+  cum_weights : float array;
+      (** running sums of the region weights, left to right *)
   total_weight : float;
   inv_log_one_minus_p : float;
       (** 1 / ln(1 - mem_ratio), precomputed for geometric gap draws; 0 when
@@ -40,11 +42,17 @@ type t = {
   mutable pending_gap : int;
   mutable pending_valid : bool;
   mutable pending_ratio : float;
+  (* The block {!emit} produced last: its access kind (0 = none, 1 = load,
+     2 = store) and byte address. *)
+  mutable emitted_kind : int;
+  mutable emitted_addr : int;
   (* Fetch stream state. *)
-  code_bytes : int;
+  code_lines : int;
   mutable fetch_cursor : int;
   address_space_bytes : int;
 }
+
+let lines_in bytes = max 1 (bytes / line_bytes)
 
 let create ?(offset = 0) ~seed bench =
   Benchmark.validate bench;
@@ -60,7 +68,9 @@ let create ?(offset = 0) ~seed bench =
     | None ->
         let base = !next_free in
         next_free := !next_free + round_to_page region.Benchmark.size_bytes;
-        let st = { region; base; cursor = 0 } in
+        let st =
+          { region; base; lines = lines_in region.Benchmark.size_bytes; cursor = 0 }
+        in
         Hashtbl.add shared_states region.Benchmark.region_name st;
         st
   in
@@ -73,11 +83,15 @@ let create ?(offset = 0) ~seed bench =
            let weights =
              Array.map (fun st -> st.region.Benchmark.weight) region_states
            in
+           let cum_weights = Array.copy weights in
+           for i = 1 to Array.length cum_weights - 1 do
+             cum_weights.(i) <- cum_weights.(i - 1) +. weights.(i)
+           done;
            let p = phase.Benchmark.mem_ratio in
            {
              phase;
              duration;
-             weights;
+             cum_weights;
              total_weight = Array.fold_left ( +. ) 0.0 weights;
              inv_log_one_minus_p =
                (if p > 0.0 && p < 1.0 then 1.0 /. log (1.0 -. p) else 0.0);
@@ -97,7 +111,9 @@ let create ?(offset = 0) ~seed bench =
     pending_gap = 0;
     pending_valid = false;
     pending_ratio = 0.0;
-    code_bytes = bench.Benchmark.code_bytes;
+    emitted_kind = 0;
+    emitted_addr = 0;
+    code_lines = lines_in bench.Benchmark.code_bytes;
     fetch_cursor = 0;
     address_space_bytes = !next_free;
   }
@@ -117,21 +133,27 @@ let advance t k =
     t.phase_remaining <- t.phases.(t.phase_idx).duration
   end
 
-let lines_in bytes = max 1 (bytes / line_bytes)
+(* Uniform draws are scaled here rather than through [Rng.float], whose
+   boxed float result would allocate per draw: same bits, same products. *)
+let float_scale = 0x1p-53
+
+(* A cursor just advanced by one step, wrapped into [0, size): a compare
+   instead of a division whenever the step lands in range. *)
+let wrap c size = if c < size then c else c mod size
 
 (* mppm: unit _ -- byte address *)
 let region_address t (st : region_state) =
   let open Benchmark in
   let within =
     match st.region.region_pattern with
-    | Uniform -> Mppm_util.Rng.int t.rng (lines_in st.region.size_bytes) * line_bytes
+    | Uniform -> Mppm_util.Rng.int t.rng st.lines * line_bytes
     | Sequential ->
         let a = st.cursor in
-        st.cursor <- (st.cursor + line_bytes) mod st.region.size_bytes;
+        st.cursor <- wrap (a + line_bytes) st.region.size_bytes;
         a
     | Strided stride ->
         let a = st.cursor in
-        st.cursor <- (st.cursor + stride) mod st.region.size_bytes;
+        st.cursor <- wrap (a + stride) st.region.size_bytes;
         a
   in
   t.offset + st.base + within
@@ -141,35 +163,37 @@ let draw_gap t (ps : phase_state) =
   if ps.phase.Benchmark.mem_ratio >= 1.0 then 0
   else
     (* Inverse-CDF geometric draw with the log precomputed per phase. *)
-    let u = Mppm_util.Rng.float t.rng 1.0 in
+    let u = float_of_int (Mppm_util.Rng.bits53 t.rng) *. float_scale in
     let u = if u <= 0.0 then epsilon_float else u in
     int_of_float (log u *. ps.inv_log_one_minus_p)
 
-(* Weighted region pick with the phase's precomputed total weight.  The
-   scan is toplevel so the per-access pick allocates no closure. *)
+(* The first region from [i] whose running weight exceeds the target drawn
+   as [bits] (the last region if none does).  The target is recomputed from
+   the int draw at each step, so the scan passes no float argument: a
+   float parameter would be boxed per call. *)
 (* mppm: unit _ -- weighted index scan *)
-let rec scan_weights weights n target i acc =
-  if i >= n - 1 then n - 1
-  else
-    let acc = acc +. weights.(i) in
-    if target < acc then i else scan_weights weights n target (i + 1) acc
+let rec scan_regions (ps : phase_state) bits i =
+  if i >= Array.length ps.cum_weights - 1 then i
+  else if float_of_int bits *. float_scale *. ps.total_weight < ps.cum_weights.(i)
+  then i
+  else scan_regions ps bits (i + 1)
 
 (* mppm: unit _ -- weighted region index draw *)
 let pick_region t (ps : phase_state) =
-  let target = Mppm_util.Rng.float t.rng ps.total_weight in
-  scan_weights ps.weights (Array.length ps.weights) target 0 0.0
+  scan_regions ps (Mppm_util.Rng.bits53 t.rng) 0
 
-(* mppm: unit _ -> cap:insns -> op *)
-let next t ~cap =
-  if cap < 1 then invalid_arg "Generator.next: cap must be >= 1";
+(* mppm: unit _ -> cap:insns -> insns *)
+let emit t ~cap =
+  if cap < 1 then invalid_arg "Generator.emit: cap must be >= 1";
   let ps = t.phases.(t.phase_idx) in
   let phase = ps.phase in
-  let limit = min cap t.phase_remaining in
+  let limit = if cap < t.phase_remaining then cap else t.phase_remaining in
   if phase.Benchmark.mem_ratio <= 0.0 then begin
     (* Pure-compute phase: no access can occur before the phase ends. *)
     t.pending_valid <- false;
     advance t limit;
-    Op.compute limit
+    t.emitted_kind <- 0;
+    limit
   end
   else begin
     if not (t.pending_valid && Float.equal t.pending_ratio phase.Benchmark.mem_ratio)
@@ -182,22 +206,34 @@ let next t ~cap =
       (* The access does not fit: emit compute and keep owing it. *)
       t.pending_gap <- t.pending_gap - limit;
       advance t limit;
-      Op.compute limit
+      t.emitted_kind <- 0;
+      limit
     end
     else begin
       let gap = t.pending_gap in
       t.pending_valid <- false;
       let region_idx = pick_region t ps in
-      let addr = region_address t ps.region_states.(region_idx) in
-      let kind =
-        if Mppm_util.Rng.bernoulli t.rng ~p:phase.Benchmark.store_fraction then
-          Op.Store
-        else Op.Load
-      in
+      t.emitted_addr <- region_address t ps.region_states.(region_idx);
+      t.emitted_kind <-
+        (if Mppm_util.Rng.bernoulli t.rng ~p:phase.Benchmark.store_fraction then 2
+         else 1);
       advance t (gap + 1);
-      Op.memory ~gap ~addr ~kind
+      gap + 1
     end
   end
+
+let emitted_kind t = t.emitted_kind
+let emitted_addr t = t.emitted_addr
+
+(* mppm: unit _ -> cap:insns -> op *)
+let next t ~cap =
+  if cap < 1 then invalid_arg "Generator.next: cap must be >= 1";
+  let n = emit t ~cap in
+  match t.emitted_kind with
+  | 0 -> Op.compute n
+  | kind ->
+      Op.memory ~gap:(n - 1) ~addr:t.emitted_addr
+        ~kind:(match kind with 2 -> Op.Store | _ -> Op.Load)
 
 (* mppm: unit op -- generated fetch op *)
 let next_fetch t =
@@ -207,9 +243,9 @@ let next_fetch t =
   if Mppm_util.Rng.bernoulli t.fetch_rng ~p:t.bench.Benchmark.cold_fetch_rate
   then
     t.offset
-    + (Mppm_util.Rng.int t.fetch_rng (lines_in t.code_bytes) * line_bytes)
+    + (Mppm_util.Rng.int t.fetch_rng t.code_lines * line_bytes)
   else begin
     t.fetch_cursor <-
-      (t.fetch_cursor + line_bytes) mod t.bench.Benchmark.hot_code_bytes;
+      wrap (t.fetch_cursor + line_bytes) t.bench.Benchmark.hot_code_bytes;
     t.offset + t.fetch_cursor
   end

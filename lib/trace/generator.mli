@@ -34,7 +34,22 @@ val retired : t -> int
 val next : t -> cap:int -> Op.t
 (** [next t ~cap] produces the next block, retiring at most [cap]
     instructions ([cap >= 1]).  Blocks never span a phase boundary, so the
-    caller can cut profile intervals exactly. *)
+    caller can cut profile intervals exactly.  A wrapper over {!emit} that
+    packages the block as an {!Op.t}. *)
+
+val emit : t -> cap:int -> int  (* mppm: unit _ -> cap:insns -> insns *)
+(** [emit t ~cap] produces the same block {!next} would and returns its
+    instruction count, leaving its data reference in {!emitted_kind} and
+    {!emitted_addr} instead of allocating an {!Op.t}: the simulator's
+    per-block path. *)
+
+val emitted_kind : t -> int  (* mppm: unit _ -- access-kind code *)
+(** Access code of the latest {!emit}ted block: [0] = pure compute,
+    [1] = ends in a load, [2] = ends in a store. *)
+
+val emitted_addr : t -> int  (* mppm: unit bytes *)
+(** Byte address of the latest {!emit}ted block's data reference; only
+    meaningful when {!emitted_kind} is nonzero. *)
 
 val next_fetch : t -> int
 (** The next instruction-cache line (byte address) touched by the fetch

@@ -4,12 +4,10 @@ type t = { instructions : int; access : access option }
 
 let compute n =
   if n < 1 then invalid_arg "Op.compute: block must retire >= 1 instruction";
-  (* lint: allow P1 per-op record; the unboxed op encoding is the ROADMAP-2 rewrite *)
   { instructions = n; access = None }
 
 let memory ~gap ~addr ~kind =
   if gap < 0 then invalid_arg "Op.memory: negative gap";
-  (* lint: allow P1 per-op record; the unboxed op encoding is the ROADMAP-2 rewrite *)
   { instructions = gap + 1; access = Some { addr; kind } }
 
 let pp ppf t =

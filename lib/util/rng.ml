@@ -51,14 +51,22 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
+(* The low 53 bits of one draw: a mask, not a division, so callers that
+   scale it to a float in their own module pay no [mod] and box nothing. *)
+(* mppm: unit _ -- raw draw bits carry no unit *)
+let bits53 t = next t land ((1 lsl 53) - 1)
+
 let float_scale = 1.0 /. 9007199254740992.0 (* 2^-53 *)
 
 (* mppm: unit _ -- uniform draw carries no unit *)
-let float t bound =
-  float_of_int (next t land ((1 lsl 53) - 1)) *. float_scale *. bound
+let float t bound = float_of_int (bits53 t) *. float_scale *. bound
 
 let bool t = next t land 1 = 1
-let bernoulli t ~p = float t 1.0 < p
+
+(* Written out rather than through [float t 1.0], so the draw never leaves
+   this function as a boxed float ([x *. 1.0] is exact, so the result is
+   unchanged). *)
+let bernoulli t ~p = float_of_int (bits53 t) *. float_scale < p
 
 let geometric t ~p =
   if not (p > 0.0 && p <= 1.0) then invalid_arg "Rng.geometric: p not in (0,1]";

@@ -31,6 +31,13 @@ val int : t -> int -> int
 val int_in : t -> lo:int -> hi:int -> int
 (** [int_in t ~lo ~hi] is uniform in the inclusive range [\[lo, hi\]]. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the low 53 bits of the next draw, uniform in
+    [\[0, 2^53)].  [float t bound] is
+    [float_of_int (bits53 t) *. 0x1p-53 *. bound]; hot loops in other
+    modules compute that product themselves so that no float crosses the
+    module boundary (a boxed return value would allocate per draw). *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -63,7 +63,8 @@ let test_replacement_strings () =
 (* ---- Cache: reference-model validation ------------------------------- *)
 
 (* A deliberately naive LRU cache: per set, a list of tags in recency
-   order.  The production cache must agree access for access. *)
+   order.  The production cache must agree access for access, outcome
+   codes included (0 = miss, d >= 1 = hit at depth d). *)
 module Reference = struct
   type t = { geometry : Geometry.t; sets : int list array }
 
@@ -80,7 +81,7 @@ module Reference = struct
     match position 0 set with
     | Some pos ->
         t.sets.(si) <- tag :: List.filter (fun x -> x <> tag) set;
-        Cache.Hit (pos + 1)
+        pos + 1
     | None ->
         let truncated =
           if List.length set >= t.geometry.Geometry.associativity then
@@ -88,8 +89,10 @@ module Reference = struct
           else set
         in
         t.sets.(si) <- tag :: truncated;
-        Cache.Miss
+        0
 end
+
+let show_code code = if code = 0 then "miss" else Printf.sprintf "hit@%d" code
 
 let random_addresses ~seed ~count ~span =
   let rng = Rng.create ~seed in
@@ -106,8 +109,7 @@ let test_cache_matches_reference () =
       let want = Reference.access reference addr in
       if got <> want then
         Alcotest.failf "divergence at addr %d: got %s want %s" addr
-          (match got with Cache.Hit d -> Printf.sprintf "hit@%d" d | Cache.Miss -> "miss")
-          (match want with Cache.Hit d -> Printf.sprintf "hit@%d" d | Cache.Miss -> "miss"))
+          (show_code got) (show_code want))
     addrs
 
 let test_cache_lru_eviction_order () =
@@ -116,25 +118,21 @@ let test_cache_lru_eviction_order () =
   (* Five conflicting lines in a 4-way set: 0, 256, 512, ... map to set 0. *)
   let line i = i * 4 * 64 in
   for i = 0 to 3 do
-    Alcotest.(check bool) "cold miss" true (Cache.access cache (line i) = Cache.Miss)
+    Alcotest.(check bool) "cold miss" true (Cache.access cache (line i) = 0)
   done;
   (* Touch line 0 to refresh it, then insert a fifth line: the LRU victim
      must be line 1. *)
-  Alcotest.(check bool) "refresh hit" true (Cache.access cache (line 0) <> Cache.Miss);
-  Alcotest.(check bool) "fifth line misses" true (Cache.access cache (line 4) = Cache.Miss);
-  Alcotest.(check bool) "line 1 was evicted" true (Cache.access cache (line 1) = Cache.Miss);
-  Alcotest.(check bool) "line 0 survived" true (Cache.access cache (line 0) <> Cache.Miss)
+  Alcotest.(check bool) "refresh hit" true (Cache.access cache (line 0) > 0);
+  Alcotest.(check bool) "fifth line misses" true (Cache.access cache (line 4) = 0);
+  Alcotest.(check bool) "line 1 was evicted" true (Cache.access cache (line 1) = 0);
+  Alcotest.(check bool) "line 0 survived" true (Cache.access cache (line 0) > 0)
 
 let test_cache_hit_depth () =
   let cache = Cache.create small_geometry in
   ignore (Cache.access cache 0);
   ignore (Cache.access cache (4 * 64));
-  (match Cache.access cache 0 with
-  | Cache.Hit d -> Alcotest.(check int) "second MRU" 2 d
-  | Cache.Miss -> Alcotest.fail "expected hit");
-  match Cache.access cache 0 with
-  | Cache.Hit d -> Alcotest.(check int) "now MRU" 1 d
-  | Cache.Miss -> Alcotest.fail "expected hit"
+  Alcotest.(check int) "second MRU" 2 (Cache.access cache 0);
+  Alcotest.(check int) "now MRU" 1 (Cache.access cache 0)
 
 let test_cache_stats () =
   let cache = Cache.create small_geometry in
@@ -147,7 +145,7 @@ let test_cache_stats () =
   check_float "miss rate" (2.0 /. 3.0) (Cache.miss_rate cache);
   Cache.reset_stats cache;
   Alcotest.(check int) "reset" 0 (Cache.accesses cache);
-  Alcotest.(check bool) "contents survive reset" true (Cache.access cache 0 <> Cache.Miss)
+  Alcotest.(check bool) "contents survive reset" true (Cache.access cache 0 > 0)
 
 let test_cache_probe () =
   let cache = Cache.create small_geometry in
@@ -164,7 +162,7 @@ let test_cache_clear_and_occupancy () =
   Alcotest.(check int) "resident lines" 10 (Cache.resident_lines cache);
   Cache.clear cache;
   Alcotest.(check int) "cleared" 0 (Cache.resident_lines cache);
-  Alcotest.(check bool) "all cold again" true (Cache.access cache 0 = Cache.Miss)
+  Alcotest.(check bool) "all cold again" true (Cache.access cache 0 = 0)
 
 let test_cache_fifo_no_refresh () =
   let cache = Cache.create ~policy:Replacement.Fifo small_geometry in
@@ -176,7 +174,7 @@ let test_cache_fifo_no_refresh () =
   ignore (Cache.access cache (line 0));
   ignore (Cache.access cache (line 4));
   Alcotest.(check bool) "line 0 evicted despite refresh" true
-    (Cache.access cache (line 0) = Cache.Miss)
+    (Cache.access cache (line 0) = 0)
 
 let test_cache_random_bounded () =
   let cache = Cache.create ~policy:(Replacement.Random 3) small_geometry in
@@ -332,8 +330,8 @@ let test_profiler_depths_match_cache () =
   Array.iter
     (fun addr ->
       (match Cache.access cache addr with
-      | Cache.Miss -> incr misses
-      | Cache.Hit d -> hits_by_depth.(d - 1) <- hits_by_depth.(d - 1) + 1);
+      | 0 -> incr misses
+      | d -> hits_by_depth.(d - 1) <- hits_by_depth.(d - 1) + 1);
       ignore (Sdc_profiler.access profiler addr))
     addrs;
   let sdc = Sdc_profiler.lifetime_total profiler in
@@ -343,6 +341,31 @@ let test_profiler_depths_match_cache () =
       check_float (Printf.sprintf "depth %d" (i + 1)) (float_of_int c)
         (Sdc.counter sdc (i + 1)))
     hits_by_depth
+
+(* Mattson inclusion, checked against the cache simulator itself: one pass
+   of the SDC profiler over an A-way stream predicts, for every k <= A, the
+   misses of a k-way LRU cache with the same set count.  The profiler's
+   depth codes must reproduce that cache's miss count exactly. *)
+let test_profiler_mattson_inclusion () =
+  let sets = 16 and assoc = 8 in
+  let geometry ways =
+    Geometry.make ~size_bytes:(sets * ways * 64) ~line_bytes:64 ~associativity:ways
+  in
+  List.iter
+    (fun seed ->
+      let addrs = random_addresses ~seed ~count:20_000 ~span:(8 * sets * assoc) in
+      let profiler = Sdc_profiler.create (geometry assoc) in
+      Array.iter (fun addr -> ignore (Sdc_profiler.access profiler addr)) addrs;
+      let sdc = Sdc_profiler.lifetime_total profiler in
+      for k = 1 to assoc do
+        let cache = Cache.create (geometry k) in
+        Array.iter (fun addr -> ignore (Cache.access cache addr)) addrs;
+        check_float
+          (Printf.sprintf "seed %d: %d-way misses" seed k)
+          (float_of_int (Cache.misses cache))
+          (Sdc.misses_with_ways sdc ~ways:(float_of_int k))
+      done)
+    [ 1; 7; 42 ]
 
 (* ---- Hierarchy -------------------------------------------------------- *)
 
@@ -359,16 +382,25 @@ let tiny_hierarchy ?(llc_assoc = 8) () =
     memory_latency = 200;
   }
 
+(* Level codes returned by Hierarchy.access. *)
+let l1 = 0 and l2 = 1 and llc = 2 and memory = 3
+
 let test_hierarchy_latencies () =
-  let h = Hierarchy.create (tiny_hierarchy ()) in
+  let config = tiny_hierarchy () in
+  let h = Hierarchy.create config in
+  let latency level = Hierarchy.level_latency config ~kind:Hierarchy.Load level in
   (* Cold access goes to memory. *)
   let r1 = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check int) "memory latency" 216 r1.Hierarchy.latency;
-  Alcotest.(check bool) "hit level" true (r1.Hierarchy.hit_level = Hierarchy.Memory);
+  Alcotest.(check int) "hit level" memory r1;
+  Alcotest.(check int) "memory latency" 216 (latency r1);
+  Alcotest.(check int) "llc miss code" 0 (Hierarchy.llc_depth h);
   (* Immediately again: L1 hit. *)
   let r2 = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check int) "l1 latency" 1 r2.Hierarchy.latency;
-  Alcotest.(check bool) "no llc outcome on l1 hit" true (r2.Hierarchy.llc_outcome = None)
+  Alcotest.(check int) "l1 hit" l1 r2;
+  Alcotest.(check int) "l1 latency" 1 (latency r2);
+  Alcotest.(check int) "no llc outcome on l1 hit" (-1) (Hierarchy.llc_depth h);
+  Alcotest.(check int) "fetch side L1 latency" 1
+    (Hierarchy.level_latency config ~kind:Hierarchy.Fetch l1)
 
 let test_hierarchy_l2_path () =
   let h = Hierarchy.create (tiny_hierarchy ()) in
@@ -377,14 +409,17 @@ let test_hierarchy_l2_path () =
   ignore (Hierarchy.access h ~kind:Hierarchy.Load ~addr:1024);
   ignore (Hierarchy.access h ~kind:Hierarchy.Load ~addr:2048);
   let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "L2 hit" true (r.Hierarchy.hit_level = Hierarchy.L2);
-  Alcotest.(check int) "L2 latency" 10 r.Hierarchy.latency
+  Alcotest.(check int) "L2 hit" l2 r;
+  Alcotest.(check int) "L2 latency" 10
+    (Hierarchy.level_latency (tiny_hierarchy ()) ~kind:Hierarchy.Load r)
 
 let test_hierarchy_perfect_llc () =
   let h = Hierarchy.create ~perfect_llc:true (tiny_hierarchy ()) in
   let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "perfect LLC hits" true (r.Hierarchy.hit_level = Hierarchy.Llc);
-  Alcotest.(check int) "llc latency" 16 r.Hierarchy.latency;
+  Alcotest.(check int) "perfect LLC hits" llc r;
+  Alcotest.(check int) "at depth 1" 1 (Hierarchy.llc_depth h);
+  Alcotest.(check int) "llc latency" 16
+    (Hierarchy.level_latency (tiny_hierarchy ()) ~kind:Hierarchy.Load r);
   Alcotest.(check int) "no misses" 0 (Hierarchy.llc_misses h);
   Alcotest.(check int) "counted access" 1 (Hierarchy.llc_accesses h)
 
@@ -394,7 +429,7 @@ let test_hierarchy_fetch_uses_l1i () =
   (* The same line via the data side must still miss L1D (separate caches),
      but hit in L2 where the fetch installed it. *)
   let r = Hierarchy.access h ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "L2 hit via shared L2" true (r.Hierarchy.hit_level = Hierarchy.L2)
+  Alcotest.(check int) "L2 hit via shared L2" l2 r
 
 let test_hierarchy_shared_llc () =
   let config = tiny_hierarchy () in
@@ -405,7 +440,7 @@ let test_hierarchy_shared_llc () =
   (* Core B misses its private levels but finds the line in the shared
      LLC. *)
   let r = Hierarchy.access b ~kind:Hierarchy.Load ~addr:0 in
-  Alcotest.(check bool) "hits shared LLC" true (r.Hierarchy.hit_level = Hierarchy.Llc);
+  Alcotest.(check int) "hits shared LLC" llc r;
   Alcotest.(check int) "a's stats" 1 (Hierarchy.llc_misses a);
   Alcotest.(check int) "b's stats" 0 (Hierarchy.llc_misses b)
 
@@ -459,9 +494,8 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let ok = ref true in
         for _ = 1 to 2000 do
-          match Cache.access cache (Rng.int rng 1024 * 64) with
-          | Cache.Hit d -> if d < 1 || d > 4 then ok := false
-          | Cache.Miss -> ()
+          let code = Cache.access cache (Rng.int rng 1024 * 64) in
+          if code < 0 || code > 4 then ok := false
         done;
         !ok);
     Test.make ~name:"misses_with_ways is monotone decreasing" ~count:200
@@ -528,6 +562,8 @@ let tests =
         Alcotest.test_case "intervals sum to lifetime" `Quick
           test_profiler_intervals_sum_to_total;
         Alcotest.test_case "depths match cache" `Quick test_profiler_depths_match_cache;
+        Alcotest.test_case "Mattson inclusion vs k-way caches" `Quick
+          test_profiler_mattson_inclusion;
       ] );
     ( "cache.hierarchy",
       [

@@ -146,6 +146,26 @@ let test_identical_twins_converge () =
   Alcotest.(check bool) "twins within 2%" true
     (abs_float (a -. b) /. a < 0.02)
 
+(* The scheduler reads the engines' clocks in place and the engines
+   allocate nothing per block, so a whole 4-program run allocates well under
+   a byte per retired instruction (set-up and end-of-run reporting only). *)
+let test_run_allocation () =
+  if not (Mppm_util.Invariant.enabled ()) then begin
+    let offsets = Multi_core.default_offsets 4 in
+    let names = [| "mcf"; "soplex"; "gamess"; "hmmer" |] in
+    let programs = Array.mapi (fun i n -> spec ~offset:offsets.(i) n) names in
+    let before = Gc.minor_words () in
+    let r = Multi_core.run config ~programs ~trace_instructions:200_000 in
+    let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
+    let retired =
+      Array.fold_left (fun acc p -> acc + p.Multi_core.total_retired) 0
+        r.Multi_core.programs
+    in
+    let per_insn = bytes /. float_of_int retired in
+    if per_insn >= 1.0 then
+      Alcotest.failf "%.3f bytes per retired instruction" per_insn
+  end
+
 let tests =
   [
     ( "multicore.sim",
@@ -161,5 +181,6 @@ let tests =
         Alcotest.test_case "default offsets" `Quick test_default_offsets;
         Alcotest.test_case "validations" `Quick test_validations;
         Alcotest.test_case "identical twins" `Quick test_identical_twins_converge;
+        Alcotest.test_case "under a byte per instruction" `Quick test_run_allocation;
       ] );
   ]

@@ -18,60 +18,118 @@ let check_close eps = Alcotest.(check (float eps))
 
 let baseline = Configs.baseline ()
 
-let result ~latency ~hit_level : Hierarchy.result =
-  { Hierarchy.latency; hit_level; llc_outcome = None }
-
 (* ---- Core_model --------------------------------------------------------- *)
 
+(* Hierarchy level codes, as Hierarchy.access returns them. *)
+let l1 = 0 and l2 = 1 and llc = 2 and memory = 3
+
+let stalls = Core_model.stalls Core_model.default baseline
+
+(* The documented data-stall rule: the level's numerator, divided by the
+   phase's MLP off core (LLC and memory) when [divide]. *)
+let data_stall ?(divide = true) ~mlp level =
+  let n = stalls.Core_model.data.(level) in
+  if divide && level >= llc then n /. mlp else n
+
 let test_stall_l1_free () =
-  check_close 1e-9 "L1 hits are free" 0.0
-    (Core_model.data_stall Core_model.default ~mlp:1.0
-       (result ~latency:1 ~hit_level:Hierarchy.L1))
+  check_close 0.0 "data L1 hits are free" 0.0 stalls.Core_model.data.(l1);
+  check_close 0.0 "fetch L1 hits are free" 0.0 stalls.Core_model.fetch.(l1)
 
 let test_stall_levels () =
   let p = Core_model.default in
-  check_close 1e-9 "L2" (p.Core_model.l2_exposure *. 9.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:10 ~hit_level:Hierarchy.L2));
-  check_close 1e-9 "LLC" (p.Core_model.llc_exposure *. 15.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:16 ~hit_level:Hierarchy.Llc));
+  check_close 1e-9 "L2" (p.Core_model.l2_exposure *. 9.0) stalls.Core_model.data.(l2);
+  check_close 1e-9 "LLC" (p.Core_model.llc_exposure *. 15.0) stalls.Core_model.data.(llc);
   check_close 1e-9 "memory" (p.Core_model.memory_exposure *. 215.0)
-    (Core_model.data_stall p ~mlp:1.0 (result ~latency:216 ~hit_level:Hierarchy.Memory))
+    stalls.Core_model.data.(memory)
+
+(* A replay of the engine's documented timing model on a second generator
+   and hierarchy: base CPI per instruction, one fetch per 16 instructions,
+   and data stalls per [data_stall].  Returns (cycles, memory-stall
+   cycles), accumulated in the engine's order of operations. *)
+let replay ?divide name ~instructions =
+  let g = Generator.create ~seed:(Suite.seed_for name) (Suite.find name) in
+  let h = Hierarchy.create baseline in
+  let cycles = ref 0.0 and memory_stall = ref 0.0 in
+  let miss ~stall ~miss_extra =
+    cycles := !cycles +. (1.0 *. (stall -. miss_extra)) +. miss_extra +. 0.0;
+    memory_stall := !memory_stall +. miss_extra +. 0.0
+  in
+  let retired = ref 0 and debt = ref 0 in
+  while !retired < instructions do
+    let phase = Generator.current_phase g in
+    let op = Generator.next g ~cap:(instructions - !retired) in
+    let n = op.Mppm_trace.Op.instructions in
+    retired := !retired + n;
+    cycles := !cycles +. (1.0 *. float_of_int n *. phase.Benchmark.base_cpi);
+    debt := !debt + n;
+    while !debt >= Generator.instructions_per_fetch do
+      debt := !debt - Generator.instructions_per_fetch;
+      let level =
+        Hierarchy.access h ~kind:Hierarchy.Fetch ~addr:(Generator.next_fetch g)
+      in
+      let stall = stalls.Core_model.fetch.(level) in
+      if level = memory then
+        miss ~stall ~miss_extra:stalls.Core_model.fetch_miss_extra
+      else cycles := !cycles +. (1.0 *. stall)
+    done;
+    match op.Mppm_trace.Op.access with
+    | None -> ()
+    | Some { Mppm_trace.Op.addr; _ } ->
+        let level = Hierarchy.access h ~kind:Hierarchy.Load ~addr in
+        let mlp = phase.Benchmark.mlp in
+        let stall = data_stall ?divide ~mlp level in
+        if level = memory then
+          miss ~stall ~miss_extra:(stall -. data_stall ?divide ~mlp llc)
+        else cycles := !cycles +. (1.0 *. stall)
+  done;
+  (!cycles, !memory_stall)
+
+let engine_run name ~instructions =
+  let generator = Generator.create ~seed:(Suite.seed_for name) (Suite.find name) in
+  let engine =
+    Core_engine.create ~params:Core_model.default
+      ~hierarchy:(Hierarchy.create baseline) ~generator ()
+  in
+  let remaining = ref instructions in
+  while !remaining > 0 do
+    remaining := !remaining - Core_engine.step engine ~cap:!remaining
+  done;
+  (Core_engine.cycles engine, Core_engine.memory_stall_cycles engine)
 
 let test_stall_mlp_divides_offcore () =
-  let p = Core_model.default in
-  let at mlp =
-    Core_model.data_stall p ~mlp (result ~latency:216 ~hit_level:Hierarchy.Memory)
-  in
-  check_close 1e-9 "mlp halves stall" (at 1.0 /. 2.0) (at 2.0);
-  (* ...but not L2 stalls, which are not off-core. *)
-  let l2 mlp =
-    Core_model.data_stall p ~mlp (result ~latency:10 ~hit_level:Hierarchy.L2)
-  in
-  check_close 1e-9 "L2 unaffected by mlp" (l2 1.0) (l2 4.0)
+  (* The engine's cycle and memory-stall counts equal, bit for bit, a
+     replay that divides off-core stalls by MLP, and differ from one that
+     does not (these benchmarks all run at MLP > 1). *)
+  List.iter
+    (fun name ->
+      let cycles, memory_stall = engine_run name ~instructions:100_000 in
+      let want_cycles, want_stall = replay name ~instructions:100_000 in
+      Alcotest.(check bool) (name ^ ": cycles") true (Float.equal want_cycles cycles);
+      Alcotest.(check bool) (name ^ ": memory stall") true
+        (Float.equal want_stall memory_stall);
+      let undivided, _ = replay ~divide:false name ~instructions:100_000 in
+      Alcotest.(check bool) (name ^ ": MLP matters") true (undivided > cycles))
+    [ "mcf"; "soplex"; "lbm" ]
 
 let test_llc_miss_extra_is_difference () =
   let p = Core_model.default in
   let mlp = 1.7 in
-  let memory_stall =
-    Core_model.data_stall p ~mlp (result ~latency:216 ~hit_level:Hierarchy.Memory)
-  in
-  let llc_hit_stall =
-    Core_model.data_stall p ~mlp (result ~latency:16 ~hit_level:Hierarchy.Llc)
-  in
-  check_close 1e-9 "extra = memory - hit"
-    (memory_stall -. llc_hit_stall)
-    (Core_model.llc_miss_extra_stall p ~config:baseline ~mlp)
+  check_close 1e-9 "data extra = memory stall - LLC-hit stall"
+    ((p.Core_model.memory_exposure *. 215.0 /. mlp)
+    -. (p.Core_model.llc_exposure *. 15.0 /. mlp))
+    (data_stall ~mlp memory -. data_stall ~mlp llc);
+  check_close 1e-9 "fetch extra = memory stall - LLC-hit stall"
+    (stalls.Core_model.fetch.(memory) -. stalls.Core_model.fetch.(llc))
+    stalls.Core_model.fetch_miss_extra
 
 let test_fetch_stall () =
   let p = Core_model.default in
-  check_close 1e-9 "fetch L1 free" 0.0
-    (Core_model.fetch_stall p (result ~latency:1 ~hit_level:Hierarchy.L1));
-  check_close 1e-9 "fetch memory"
-    (p.Core_model.fetch_exposure *. 215.0)
-    (Core_model.fetch_stall p (result ~latency:216 ~hit_level:Hierarchy.Memory));
-  check_close 1e-9 "fetch extra"
-    (p.Core_model.fetch_exposure *. 200.0)
-    (Core_model.fetch_llc_miss_extra_stall p ~config:baseline)
+  check_close 1e-9 "fetch L2" (p.Core_model.fetch_exposure *. 9.0)
+    stalls.Core_model.fetch.(l2);
+  check_close 1e-9 "fetch memory" (p.Core_model.fetch_exposure *. 215.0)
+    stalls.Core_model.fetch.(memory);
+  check_close 1e-9 "fetch extra" (p.Core_model.fetch_exposure *. 200.0)
+    stalls.Core_model.fetch_miss_extra
 
 (* ---- Single_core ---------------------------------------------------------- *)
 
@@ -224,6 +282,31 @@ let test_engine_snapshot_delta () =
   Alcotest.(check bool) "delta cycles positive" true (delta.Core_engine.s_cycles > 0.0);
   Alcotest.(check int) "retired total" 15_000 (Core_engine.retired engine)
 
+(* After warm-up, with the sanitizer off, the per-block path of an LRU,
+   unpartitioned, channel-free engine allocates nothing at all: int-coded
+   cache outcomes, a field-emitting generator and an all-float clock. *)
+let test_engine_step_allocation_free () =
+  if not (Mppm_util.Invariant.enabled ()) then
+    List.iter
+      (fun name ->
+        let generator = Generator.create ~seed:(seed name) (bench name) in
+        let engine =
+          Core_engine.create ~params:Core_model.default
+            ~hierarchy:(Hierarchy.create baseline) ~generator ()
+        in
+        let consume n =
+          let remaining = ref n in
+          while !remaining > 0 do
+            remaining := !remaining - Core_engine.step engine ~cap:!remaining
+          done
+        in
+        consume 50_000;
+        let before = Gc.minor_words () in
+        consume 200_000;
+        let words = Gc.minor_words () -. before in
+        check_close 0.0 (name ^ ": minor words over 200k instructions") 0.0 words)
+      [ "mcf"; "soplex"; "gamess"; "hmmer" ]
+
 let tests =
   [
     ( "simcore.core_model",
@@ -248,5 +331,9 @@ let tests =
         Alcotest.test_case "LLC size monotonicity" `Quick test_llc_size_monotonicity;
       ] );
     ( "simcore.engine",
-      [ Alcotest.test_case "snapshot deltas" `Quick test_engine_snapshot_delta ] );
+      [
+        Alcotest.test_case "snapshot deltas" `Quick test_engine_snapshot_delta;
+        Alcotest.test_case "step allocates nothing" `Quick
+          test_engine_step_allocation_free;
+      ] );
   ]

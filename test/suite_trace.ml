@@ -447,6 +447,29 @@ let qcheck_tests =
           total := !total + (Generator.next g ~cap:333).Op.instructions
         done;
         !total = Generator.retired g);
+    Test.make ~name:"next matches the field-emitting path" ~count:100
+      (pair small_int (list_of_size (Gen.return 300) (int_range 1 5_000)))
+      (fun (seed, caps) ->
+        let bench = Suite.all.(seed mod Array.length Suite.all) in
+        let wrapped = Generator.create ~seed bench in
+        let emitting = Generator.create ~seed bench in
+        List.for_all
+          (fun cap ->
+            let op = Generator.next wrapped ~cap in
+            let n = Generator.emit emitting ~cap in
+            let same_access =
+              match op.Op.access with
+              | None -> Generator.emitted_kind emitting = 0
+              | Some { Op.addr; kind } ->
+                  Generator.emitted_kind emitting
+                  = (match kind with Op.Load -> 1 | Op.Store -> 2)
+                  && Generator.emitted_addr emitting = addr
+            in
+            op.Op.instructions = n
+            && same_access
+            && Generator.retired wrapped = Generator.retired emitting
+            && Generator.next_fetch wrapped = Generator.next_fetch emitting)
+          caps);
   ]
 
 let tests =

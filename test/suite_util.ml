@@ -60,6 +60,33 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in [0, 2.5)" true (x >= 0.0 && x < 2.5)
   done
 
+(* [float] is defined over the 53-bit primitive, and that is the same
+   draw as the modulo-2^53 integer it replaced: bit-identical values.
+   [bernoulli] draws exactly what [float t 1.0 < p] would. *)
+let test_rng_float_is_53_bits () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun bound ->
+          let a = Rng.create ~seed in
+          let b = Rng.copy a and c = Rng.copy a in
+          for _ = 1 to 1000 do
+            let x = Rng.float a bound in
+            let via_bits = float_of_int (Rng.bits53 b) *. 0x1p-53 *. bound in
+            let via_int = float_of_int (Rng.int c (1 lsl 53)) *. 0x1p-53 *. bound in
+            if not (Float.equal x via_bits && Float.equal x via_int) then
+              Alcotest.failf "seed %d bound %g: %h vs %h vs %h" seed bound x
+                via_bits via_int
+          done)
+        [ 1.0; 2.5; 1e-3; 37.0 ];
+      let a = Rng.create ~seed in
+      let b = Rng.copy a in
+      for _ = 1 to 1000 do
+        Alcotest.(check bool) "bernoulli = float < p" (Rng.float b 1.0 < 0.3)
+          (Rng.bernoulli a ~p:0.3)
+      done)
+    [ 0; 1; 42; 1 lsl 40 ]
+
 let test_rng_bernoulli_extremes () =
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 100 do
@@ -474,6 +501,7 @@ let tests =
         Alcotest.test_case "int_in range" `Quick test_rng_int_in;
         Alcotest.test_case "int invalid bound" `Quick test_rng_int_invalid;
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+        Alcotest.test_case "float is the 53-bit draw" `Quick test_rng_float_is_53_bits;
         Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
         Alcotest.test_case "geometric mean" `Slow test_rng_geometric_mean;
         Alcotest.test_case "geometric p=1" `Quick test_rng_geometric_p1;
