@@ -250,7 +250,3 @@ let counters t =
     ("hits", float_of_int t.hits);
     ("misses", float_of_int t.misses);
   ]
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%a: %d accesses, %d hits, %d misses (%.2f%% miss rate)"
-    Geometry.pp t.geometry t.accesses t.hits t.misses (100.0 *. miss_rate t)

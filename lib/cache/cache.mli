@@ -71,7 +71,3 @@ val counters : t -> (string * float) list
 (** The statistics counters as observability pairs
     ([accesses]/[hits]/[misses]), ready for
     [Mppm_obs.Registry.add_all]. *)
-
-(* lint: allow S4 debugging printer kept as API surface *)
-val pp_stats : Format.formatter -> t -> unit
-(** One-line rendering of the statistics counters. *)

@@ -1,10 +1,5 @@
 type t = Lru | Fifo | Random of int
 
-let pp ppf = function
-  | Lru -> Format.pp_print_string ppf "LRU"
-  | Fifo -> Format.pp_print_string ppf "FIFO"
-  | Random seed -> Format.fprintf ppf "Random(seed=%d)" seed
-
 let to_string = function
   | Lru -> "lru"
   | Fifo -> "fifo"

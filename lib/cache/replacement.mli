@@ -10,10 +10,6 @@ type t =
   | Fifo  (** first-in-first-out: insertion order, untouched by hits *)
   | Random of int  (** random victim, with the PRNG seed to use *)
 
-(* lint: allow S4 debugging printer kept as API surface *)
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)
-
 val to_string : t -> string
 (** "lru", "fifo" or "random:<seed>". *)
 

@@ -107,7 +107,7 @@ let misses_with_ways t ~ways =
     lo +. (frac *. (hi -. lo))
 
 (* Prefix sums over an interval sequence's access masses: groundwork for
-   the O(1) window queries of the flat-profile rewrite (ROADMAP item 2).
+   O(1) window queries over prefix-sum profiles.
    Element 0 is 0 and element i the running total after interval i, so a
    window's mass is one subtraction of two cumulative readings. *)
 let prefix_counts sdcs =

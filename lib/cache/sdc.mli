@@ -70,8 +70,7 @@ val prefix_counts : t list -> float array  (* mppm: unit _ -> cumulative accesse
     sequence's SDCs: element [0] is [0.] and element [i] the total
     accesses of the first [i] intervals.  A window's mass is then one
     subtraction of two cumulative readings ({!window_accesses}) —
-    groundwork for the O(1) window queries of the flat-profile rewrite
-    (ROADMAP item 2). *)
+    groundwork for O(1) window queries over prefix-sum profiles. *)
 
 val window_accesses :  (* mppm: unit cumulative accesses -> first:intervals -> last:intervals -> accesses *)
   float array -> first:int -> last:int -> float

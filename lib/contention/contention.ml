@@ -1,6 +1,6 @@
 module Sdc = Mppm_cache.Sdc
 
-(* lint: allow-file P1 per-prediction result vectors; the flat-scratch rewrite (ROADMAP item 2) preallocates them per model *)
+(* lint: allow-file P1 per-prediction result vectors: predict returns fresh arrays that the model reads for one epoch *)
 
 type model =
   | Foa
@@ -172,5 +172,3 @@ let of_string s =
       with Failure _ -> invalid_arg "Contention.of_string: bad partition")
   | _ ->
       invalid_arg "Contention.of_string: expected foa|sdc|prob[:n]|part:<ways>"
-
-let pp ppf model = Format.pp_print_string ppf (model_name model)

@@ -51,7 +51,3 @@ val model_name : model -> string
 
 val of_string : string -> model
 (** "foa" | "sdc" | "prob[:iterations]" | "part:<w1,w2,...>". *)
-
-(* lint: allow S4 debugging printer kept as API surface *)
-val pp : Format.formatter -> model -> unit
-(** Prints {!model_name}. *)

@@ -101,7 +101,7 @@ let miss_penalty profile (w : Profile.window) =
     else 0.0
 
 (* mppm: unit result *)
-(* mppm: hot — the per-quantum convergence loop, ROADMAP item 2 *)
+(* mppm: hot — the per-quantum convergence loop *)
 let run ?(obs = Trace.null) params inputs ~record =
   validate params inputs;
   let states =
@@ -154,7 +154,7 @@ let run ?(obs = Trace.null) params inputs ~record =
     incr iterations;
     (* Step 1: find the epoch budget C set by the slowest program. *)
     let window_l =
-      Array.map (* lint: allow P1 per-epoch window vector; reused scratch in the ROADMAP-2 rewrite *)
+      Array.map (* lint: allow P1 per-epoch window vector: n entries per quantum, each already a fresh Profile.window record *)
         (fun st -> Profile.window st.input.profile ~start:st.ip ~count:l)
         states
     in
@@ -172,7 +172,7 @@ let run ?(obs = Trace.null) params inputs ~record =
     let epoch_cycles = !best in
     (* Step 2: per-program progress within C cycles. *)
     let progress =
-      Array.mapi (* lint: allow P1 per-epoch progress vector; ROADMAP item 2 *)
+      Array.mapi (* lint: allow P1 per-epoch progress vector: n floats per quantum, read by the next two steps *)
         (fun i st ->
           let cpi = Profile.window_cpi window_l.(i) in
           epoch_cycles /. (cpi *. st.r))
@@ -180,13 +180,13 @@ let run ?(obs = Trace.null) params inputs ~record =
     in
     (* Step 3: window statistics over each program's actual progress. *)
     let windows =
-      Array.mapi (* lint: allow P1 per-epoch window vector; ROADMAP item 2 *)
+      Array.mapi (* lint: allow P1 per-epoch window vector: n entries per quantum, each already a fresh Profile.window record *)
         (fun i st ->
           Profile.window st.input.profile ~start:st.ip ~count:progress.(i))
         states
     in
     (* Step 4: contention model on the epoch SDCs. *)
-    (* lint: allow P1 per-epoch SDC vector; ROADMAP item 2 *)
+    (* lint: allow P1 per-epoch SDC vector: Contention.predict takes the mix's SDCs as one array *)
     let sdcs = Array.map (fun w -> w.Profile.w_sdc) windows in
     let contention = Contention.predict params.contention sdcs in
     (* Step 4b (extension): bandwidth queueing.  The M/D/1 wait at the
@@ -220,7 +220,7 @@ let run ?(obs = Trace.null) params inputs ~record =
     (* Step 5: price the conflict misses and update the slowdowns. *)
     if observing then
       Array.iteri (fun i st -> obs_r_before.(i) <- st.r) states;
-    Array.iteri (* lint: allow P1 per-epoch update closure; the flat-state rewrite (ROADMAP item 2) turns this into a loop over parallel arrays *)
+    Array.iteri (* lint: allow P1 per-epoch update closure over the epoch's windows and contention result, built once per quantum *)
       (fun i st ->
         let penalty = miss_penalty st.input.profile windows.(i) in
         let miss_cycles =

@@ -7,12 +7,3 @@ let close t = t.close ()
 let memory () =
   let events = ref [] in
   (make (fun e -> events := e :: !events), fun () -> List.rev !events)
-
-let tee a b =
-  make
-    ~close:(fun () ->
-      a.close ();
-      b.close ())
-    (fun e ->
-      a.emit e;
-      b.emit e)

@@ -23,7 +23,3 @@ val memory : unit -> t * (unit -> Event.t list)
 (** A collecting sink: [let sink, events = memory ()] stores every event;
     [events ()] returns them in emission order.  Used by tests and by the
     CLI to buffer a trace before writing it in the requested format. *)
-
-(* lint: allow S4 sink combinator documented in docs/observability.md *)
-val tee : t -> t -> t
-(** Duplicate every event (and close) to both sinks. *)

@@ -62,15 +62,15 @@ let window t ~start ~count =
   if start < 0.0 then invalid_arg "Profile.window: negative start";
   let trace_len = float_of_int (total_instructions t) in
   let acc_sdc = Sdc.create ~assoc:t.llc_assoc in
-  (* lint: allow P1 window-walk accumulator; the flat-profile rewrite (ROADMAP item 2) keeps this in reusable scratch *)
+  (* lint: allow P1 window accumulator: one record per call, and the call returns a fresh window by design *)
   let acc = ref { w_instructions = 0.0; w_cycles = 0.0;
                   w_memory_stall_cycles = 0.0; w_llc_accesses = 0.0;
                   w_llc_misses = 0.0; w_sdc = acc_sdc } in
-  let add_fraction iv frac = (* lint: allow P1 window-walk helper closure; ROADMAP item 2 *)
+  let add_fraction iv frac = (* lint: allow P1 walk helper closing over the accumulator, built once per call *)
     if frac > 0.0 then begin
       let a = !acc in
       Sdc.add_into ~dst:acc_sdc (Sdc.scale iv.sdc frac);
-      acc := (* lint: allow P1 P4 boxed window accumulator; ROADMAP item 2 *)
+      acc := (* lint: allow P1 P4 accumulator update, once per interval the window touches (a handful per call) *)
         {
           a with
           w_instructions = a.w_instructions +. (float_of_int iv.instructions *. frac);
@@ -84,21 +84,21 @@ let window t ~start ~count =
   in
   (* Walk intervals from the (wrapped) start position until [count]
      instructions are consumed, taking linear fractions at the ends. *)
-  let pos = ref (Float.rem start trace_len) in (* lint: allow P1 window cursor refs; ROADMAP item 2 *)
+  let pos = ref (Float.rem start trace_len) in (* lint: allow P1 walk cursors: refs allocated once per call, not per interval *)
   let remaining = ref count in
   (* Locate the interval containing !pos together with the offset into it. *)
-  let locate pos = (* lint: allow P1 window locate closures; ROADMAP item 2 *)
+  let locate pos = (* lint: allow P1 locate closes over the profile, built once per call *)
     let rec go i off =
       let len = float_of_int t.intervals.(i).instructions in
       if pos < off +. len || Int.equal i (Array.length t.intervals - 1) then
-        (* lint: allow P1 interval/offset result pair; ROADMAP item 2 *)
+        (* lint: allow P1 locate's (interval, offset) result, returned once per call *)
         (i, pos -. off)
       else go (i + 1) (off +. len)
     in
     go 0 0.0
   in
   let idx, offset = locate !pos in
-  (* lint: allow P1 window cursor refs; ROADMAP item 2 *)
+  (* lint: allow P1 walk cursors: refs allocated once per call, not per interval *)
   let idx = ref idx and offset = ref offset in
   while !remaining > 1e-9 do
     let iv = t.intervals.(!idx) in
@@ -106,16 +106,15 @@ let window t ~start ~count =
     let available = len -. !offset in
     let take = Float.min available !remaining in
     add_fraction iv (take /. len);
-    remaining := !remaining -. take; (* lint: allow P4 window cursor updates; ROADMAP item 2 *)
+    remaining := !remaining -. take; (* lint: allow P4 cursor update, once per interval the window touches *)
     pos := !pos +. take;
     offset := 0.0;
     idx := (!idx + 1) mod Array.length t.intervals
   done;
-  (* lint: allow P1 the returned window record; ROADMAP item 2 *)
+  (* lint: allow P1 the window record this function returns *)
   { !acc with w_sdc = acc_sdc }
 
 let window_cpi w = w.w_cycles /. w.w_instructions
-let window_memory_cpi w = w.w_memory_stall_cycles /. w.w_instructions
 
 let reduce_associativity t ~assoc =
   if assoc > t.llc_assoc then

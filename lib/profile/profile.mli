@@ -75,10 +75,6 @@ val window : t -> start:float -> count:float -> window
 val window_cpi : window -> float  (* mppm: unit cycles/insns *)
 (** [w_cycles / w_instructions]. *)
 
-(* lint: allow S4 per-window readout kept for the two-run validation workflow *)
-val window_memory_cpi : window -> float  (* mppm: unit cycles/insns *)
-(** [w_memory_stall_cycles / w_instructions]. *)
-
 (* mppm: unit assoc:ways -> profile *)
 val reduce_associativity : t -> assoc:int -> t
 (** [reduce_associativity t ~assoc] derives the profile for an LLC of lower

@@ -9,11 +9,3 @@ let compute n =
 let memory ~gap ~addr ~kind =
   if gap < 0 then invalid_arg "Op.memory: negative gap";
   { instructions = gap + 1; access = Some { addr; kind } }
-
-let pp ppf t =
-  match t.access with
-  | None -> Format.fprintf ppf "compute[%d]" t.instructions
-  | Some { addr; kind } ->
-      Format.fprintf ppf "%s[%d]@0x%x"
-        (match kind with Load -> "load" | Store -> "store")
-        t.instructions addr

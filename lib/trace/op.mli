@@ -27,7 +27,3 @@ val compute : int -> t  (* mppm: unit insns -> op *)
 val memory : gap:int -> addr:int -> kind:access_kind -> t  (* mppm: unit gap:insns -> addr:_ -> kind:_ -> op *)
 (** [memory ~gap ~addr ~kind] is [gap] compute instructions followed by one
     memory instruction. *)
-
-(* lint: allow S4 debugging printer kept as API surface *)
-val pp : Format.formatter -> t -> unit
-(** Compact one-line rendering of the block. *)

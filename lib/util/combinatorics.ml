@@ -1,5 +1,3 @@
-exception Overflow
-
 let binomial n k =
   if k < 0 || k > n then 0.0
   else
@@ -11,10 +9,6 @@ let binomial n k =
     (* The product is exact as long as intermediate values stay within 53
        bits; rounding keeps results integral in the exact range. *)
     Float.round !acc
-
-let binomial_int n k =
-  let f = binomial n k in
-  if f > float_of_int max_int then raise Overflow else int_of_float f
 
 let multisets_count ~n ~m = binomial (n + m - 1) m
 

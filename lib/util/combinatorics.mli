@@ -10,14 +10,6 @@ val binomial : int -> int -> float
     values representable in 53 bits).  Returns [0.] when [k < 0] or
     [k > n]. *)
 
-(* lint: allow S4 exact integer variant kept alongside the float binomial *)
-val binomial_int : int -> int -> int
-(** [binomial_int n k] is C(n, k) as a native int.  Raises [Overflow] if the
-    result does not fit. *)
-
-exception Overflow
-(** Raised by {!binomial_int} when the result exceeds native int range. *)
-
 val multisets_count : n:int -> m:int -> float
 (** [multisets_count ~n ~m] is the number of size-[m] multisets over [n]
     elements: C(n+m-1, m). *)

@@ -32,12 +32,6 @@ let next t =
   t.b <- s1;
   (s0 + s1) land max_int
 
-let bits64 t =
-  (* Two native draws stitched together for API compatibility. *)
-  Int64.logor
-    (Int64.of_int (next t))
-    (Int64.shift_left (Int64.of_int (next t)) 62)
-
 let split t = create ~seed:(next t)
 
 (* mppm: unit _ -- uniform draw carries no unit *)
@@ -60,8 +54,6 @@ let float_scale = 1.0 /. 9007199254740992.0 (* 2^-53 *)
 
 (* mppm: unit _ -- uniform draw carries no unit *)
 let float t bound = float_of_int (bits53 t) *. float_scale *. bound
-
-let bool t = next t land 1 = 1
 
 (* Written out rather than through [float t 1.0], so the draw never leaves
    this function as a boxed float ([x *. 1.0] is exact, so the result is

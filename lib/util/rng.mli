@@ -21,10 +21,6 @@ val split : t -> t
     split per benchmark / per experiment arm so that changing the number of
     draws in one arm does not perturb the others. *)
 
-(* lint: allow S4 core draw primitive, part of the documented Rng surface *)
-val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -40,10 +36,6 @@ val bits53 : t -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-(* lint: allow S4 draw-API completeness, part of the documented Rng surface *)
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)

@@ -1,12 +1,6 @@
 let ensure_nonempty name a =
   if Array.length a = 0 then invalid_arg (name ^ ": empty sample")
 
-let approx_equal ?(eps = 1e-9) a b =
-  Float.abs (a -. b)
-  <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let is_zero ?(eps = 1e-9) x = Float.abs x <= eps
-
 let mean a =
   ensure_nonempty "Stats.mean" a;
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)

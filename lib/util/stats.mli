@@ -5,19 +5,6 @@
     and measured metrics (Sec. 4.2); this module provides those
     primitives. *)
 
-(* lint: allow S4 rule F1's recommended comparison helper *)
-val approx_equal : ?eps:float -> float -> float -> bool
-(** [approx_equal a b] is true when [a] and [b] differ by at most [eps]
-    (default [1e-9]) scaled by the larger of 1 and their magnitudes — the
-    explicit alternative to polymorphic [=] on floats, which the mppm-lint
-    [F1] rule rejects.  Use [Float.equal] instead when exact (bitwise-value)
-    comparison is the intended semantics. *)
-
-(* lint: allow S4 rule F1's recommended comparison helper *)
-val is_zero : ?eps:float -> float -> bool
-(** [is_zero x] is [approx_equal x 0.0] with an absolute (unscaled)
-    tolerance of [eps], default [1e-9]. *)
-
 val mean : float array -> float
 (** Arithmetic mean.  Raises [Invalid_argument] on an empty array. *)
 

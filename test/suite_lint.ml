@@ -3,12 +3,12 @@
 
    The tree test lints the real sources (made visible in the build
    directory via source_tree deps in test/dune) and asserts the repo is
-   lint-clean; the synthetic tests feed each rule a positive and a
-   suppressed snippet through [Engine.lint_source]. *)
+   lint-clean; the synthetic tests feed each per-file rule a positive and
+   a suppressed snippet through [Sema.lint_source], and the rule audit
+   proves every rule id fires on a fixture of its own. *)
 
 module Diag = Mppm_lint.Diag
-module Engine = Mppm_lint.Engine
-module Rules = Mppm_lint.Rules
+module Sema = Mppm_sema.Sema
 module Invariant = Mppm_util.Invariant
 module Fingerprint = Mppm_util.Fingerprint
 module Model = Mppm_core.Model
@@ -35,8 +35,17 @@ let test_tree_is_clean () =
   match lint_root () with
   | None -> Alcotest.fail "cannot locate the source tree to lint"
   | Some root ->
-      let findings = Engine.lint_tree ~root in
-      let errors = Engine.errors findings in
+      let findings =
+        match Sema.analyze_tree ~root () with
+        | Ok report -> report.Sema.diags
+        | Error (e :: _) ->
+            Alcotest.failf "%s:%d: %s" e.Mppm_sema.Astparse.pe_rel e.pe_line
+              e.pe_message
+        | Error [] -> Alcotest.fail "parse error without detail"
+      in
+      let errors =
+        List.filter (fun d -> d.Diag.severity = Diag.Error) findings
+      in
       let render ds =
         String.concat "\n" (List.map Diag.to_text ds)
       in
@@ -45,8 +54,14 @@ let test_tree_is_clean () =
 
 (* ---- Synthetic rule cases ----------------------------------------------- *)
 
-let rules_of ~rel src =
-  List.map (fun d -> d.Diag.rule) (Engine.lint_source ~rel src)
+let lint_source ~rel src =
+  match Sema.lint_source ~rel src with
+  | Ok diags -> diags
+  | Error e ->
+      Alcotest.failf "fixture does not parse: %s:%d: %s"
+        e.Mppm_sema.Astparse.pe_rel e.pe_line e.pe_message
+
+let rules_of ~rel src = List.map (fun d -> d.Diag.rule) (lint_source ~rel src)
 
 let has_rule rule ~rel src = List.mem rule (rules_of ~rel src)
 
@@ -153,7 +168,7 @@ let test_o1_console_output () =
 
 let test_testish_scope () =
   let o1 rel src =
-    List.filter (fun d -> d.Diag.rule = "O1") (Engine.lint_source ~rel src)
+    List.filter (fun d -> d.Diag.rule = "O1") (lint_source ~rel src)
   in
   (match o1 "test/foo.ml" "let f () = print_endline \"x\"\n" with
   | [ d ] ->
@@ -165,7 +180,7 @@ let test_testish_scope () =
       Alcotest.(check bool) "O1 downgraded to warning in examples/" true
         (d.Diag.severity = Diag.Warning)
   | ds -> Alcotest.failf "expected one O1, got %d" (List.length ds));
-  (match Engine.lint_source ~rel:"test/foo.mli" "val f : int -> int\n" with
+  (match lint_source ~rel:"test/foo.mli" "val f : int -> int\n" with
   | [ d ] ->
       Alcotest.(check string) "M1 applies to test .mli" "M1" d.Diag.rule;
       Alcotest.(check bool) "as a warning" true (d.Diag.severity = Diag.Warning)
@@ -184,7 +199,7 @@ let test_allow_file () =
 
 let test_dune_unix_in_lib () =
   let findings =
-    Engine.lint_dune ~rel:"lib/core/dune"
+    lint_source ~rel:"lib/core/dune"
       "(library (name mppm_core) (libraries unix))\n"
   in
   Alcotest.(check bool) "unix link flagged" true
@@ -192,8 +207,161 @@ let test_dune_unix_in_lib () =
   Alcotest.(check (list string)) "unix as substring not flagged" []
     (List.map
        (fun d -> d.Diag.rule)
-       (Engine.lint_dune ~rel:"lib/core/dune"
+       (lint_source ~rel:"lib/core/dune"
           "(library (name mppm_unixish))\n"))
+
+(* Shapes that need resolved paths (a [Stdlib.] prefix, a module alias)
+   or the parse tree (a comparison whose result is let-bound). *)
+let test_resolved_shapes () =
+  let lines rule src =
+    List.filter_map
+      (fun d -> if d.Diag.rule = rule then Some d.Diag.line else None)
+      (lint_source ~rel:"lib/core/foo.ml" src)
+  in
+  Alcotest.(check (list int)) "Stdlib.Random is D1" [ 1 ]
+    (lines "D1" "let x = Stdlib.Random.int 5\n");
+  Alcotest.(check (list int)) "Random through a module alias is D1" [ 2 ]
+    (lines "D1" "module R = Random\nlet x = R.int 5\n");
+  Alcotest.(check (list int)) "let-bound float equality is F1" [ 1 ]
+    (lines "F1" "let f x = let eq = x = 0.0 in eq\n");
+  Alcotest.(check (list int)) "Stdlib.Printf.printf is O1" [ 1 ]
+    (lines "O1" "let f () = Stdlib.Printf.printf \"hi\"\n");
+  Alcotest.(check (list int)) "Stdlib.failwith is E1" [ 1 ]
+    (lines "E1" "let f () = Stdlib.failwith \"no prefix\"\n")
+
+(* ---- Rule audit ------------------------------------------------------------ *)
+
+(* One row per rule id: fixture files for [Sema.analyze] (with the dune
+   files cross-library references need).  A rule may have several rows.
+   The F1 and D1 rows on a hot path record the audit of suspected
+   overlaps: there F1 co-fires with P2 and D1 with P3, but P2 and P3 fire
+   only on hot paths, so the plain rows keep F1 and D1 necessary. *)
+let hot src = "(* mppm: hot *)\n" ^ src
+
+let audit_fixtures =
+  let leaky =
+    "let save x =\n  let oc = open_out \"f.txt\" in\n  output_string oc x;\n\
+    \  close_out oc\n"
+  in
+  let locky =
+    "let m = Mutex.create ()\nlet guard f =\n  Mutex.lock m;\n  let r = f () in\n\
+    \  Mutex.unlock m;\n  r\n"
+  in
+  let units mli ml = [ ("lib/demo/u.mli", mli); ("lib/demo/u.ml", ml) ] in
+  let lock_dunes =
+    [ ("lib/pool/dune", "(name mppm_pool)"); ("lib/obs/dune", "(name mppm_obs)") ]
+  in
+  [
+    ("D1", [], [ ("lib/demo/d.ml", "let h v = Hashtbl.hash v\n") ]);
+    ("D1", [], [ ("lib/demo/d.ml", hot "let h v = Hashtbl.hash v\n") ]);
+    ("D1", [ ("lib/demo/dune", "(libraries unix)") ], []);
+    ("D2", [], [ ("bench/d.ml", "let x = Random.int 5\n") ]);
+    ("F1", [], [ ("lib/demo/f.ml", "let f x = if x = 0.5 then 1 else 2\n") ]);
+    ("F1", [], [ ("lib/demo/f.ml", hot "let f x = x = 0.5\n") ]);
+    ("M1", [], [ ("test/m.mli", "val f : int -> int\n") ]);
+    ("E1", [], [ ("lib/demo/e.ml", "let f () = failwith \"bad input\"\n") ]);
+    ("O1", [], [ ("lib/demo/o.ml", "let f () = print_endline \"x\"\n") ]);
+    ("S1", [], [ ("lib/demo/leaky.ml", leaky) ]);
+    ("S2", [], [ ("lib/demo/c.ml", "let r = Mppm_util.Rng.create ~seed:42\n") ]);
+    ( "S3",
+      [],
+      [ ("lib/demo/acc.ml", "let total t = Hashtbl.fold (fun _ v a -> a +. v) t 0.0\n") ]
+    );
+    ( "S4",
+      [],
+      [
+        ("lib/demo/a.ml", "let used n = n + 1\nlet dead n = n - 1\n");
+        ( "lib/demo/a.mli",
+          "val used : int -> int\n(** Used. *)\nval dead : int -> int\n(** Dead. *)\n" );
+        ("lib/demo/b.ml", "let x = A.used 1\n");
+      ] );
+    ("S5", [], [ ("lib/demo/locky.ml", locky) ]);
+    ( "S6",
+      [],
+      [
+        ( "lib/demo/par.ml",
+          "let run pool xs =\n  let hits = ref 0 in\n\
+          \  Mppm_pool.Pool.map pool (fun x -> incr hits; x + 1) xs\n" );
+      ] );
+    ("S7", [], [ ("lib/demo/glob.ml", "let total = ref 0\nlet bump x = total := !total + x\n") ]);
+    ( "S8",
+      lock_dunes,
+      [
+        ("lib/pool/pool.ml", "let m = Mutex.create ()\nlet poke () = Mutex.lock m; Mutex.unlock m\n");
+        ( "lib/obs/registry.ml",
+          "(* lint: allow-file S5 sanctioned registry lock *)\n\
+           let m = Mutex.create ()\nlet bad () =\n  Mutex.lock m;\n\
+          \  Mppm_pool.Pool.poke ();\n  Mutex.unlock m\n" );
+      ] );
+    ("P1", [], [ ("lib/demo/h.ml", hot "let f xs = List.map (fun x -> x + 1) xs\n") ]);
+    ("P2", [], [ ("lib/demo/h.ml", hot "let f a b = a = b\n") ]);
+    ("P3", [], [ ("lib/demo/h.ml", hot "let f h k = Hashtbl.find h k\n") ]);
+    ("P4", [], [ ("lib/demo/h.ml", hot "let f acc x = acc := !acc +. x\n") ]);
+    ( "U1",
+      [],
+      units "val cyc : float  (* mppm: unit cycles *)\nval ins : float  (* mppm: unit insns *)\n"
+        "let cyc = 1.0\nlet ins = 2.0\nlet bad = cyc +. ins\n" );
+    ( "U2",
+      [],
+      units
+        "val total : float  (* mppm: unit cumulative accesses *)\n\
+         val total2 : float  (* mppm: unit cumulative accesses *)\n"
+        "let total = 100.0\nlet total2 = 160.0\nlet worse = total +. total2\n" );
+    ( "U3",
+      [],
+      units
+        "val cpi : float  (* mppm: unit cycles/insns *)\n\
+         val ipc : float  (* mppm: unit insns/cycles *)\n"
+        "let cpi = 2.0\nlet ipc = 0.5\nlet bad = cpi +. ipc\n" );
+  ]
+
+let audit_findings (dunes, files) =
+  match
+    Sema.analyze ~dunes
+      (List.map (fun (rel, content) -> { Sema.rel; content }) files)
+  with
+  | Ok report -> report.Sema.diags
+  | Error _ -> Alcotest.fail "audit fixture does not parse"
+
+let test_rule_audit () =
+  List.iter
+    (fun id ->
+      let rows = List.filter (fun (r, _, _) -> r = id) audit_fixtures in
+      if rows = [] then Alcotest.failf "rule %s has no audit fixture" id;
+      (* Every row fires its rule; a rule is redundant when each of its
+         findings shares a file and line with another rule's finding. *)
+      let alone =
+        List.exists
+          (fun (_, dunes, files) ->
+            let diags = audit_findings (dunes, files) in
+            let mine = List.filter (fun d -> d.Diag.rule = id) diags in
+            if mine = [] then Alcotest.failf "rule %s does not fire" id;
+            List.exists
+              (fun d ->
+                not
+                  (List.exists
+                     (fun o ->
+                       o.Diag.rule <> id && o.Diag.file = d.Diag.file
+                       && o.Diag.line = d.Diag.line)
+                     diags))
+              mine)
+          rows
+      in
+      if not alone then
+        Alcotest.failf "rule %s only fires where another rule does" id)
+    Mppm_lint.Rule_info.all_ids;
+  (* The recorded overlaps, on hot paths only. *)
+  let rules_at line files =
+    audit_findings ([], files)
+    |> List.filter (fun d -> d.Diag.line = line)
+    |> List.map (fun d -> d.Diag.rule)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list string)) "hot float equality is F1 and P2"
+    [ "F1"; "P2" ]
+    (rules_at 2 [ ("lib/demo/f.ml", hot "let f x = x = 0.5\n") ]);
+  Alcotest.(check (list string)) "hot Hashtbl.hash is D1 and P3" [ "D1"; "P3" ]
+    (rules_at 2 [ ("lib/demo/d.ml", hot "let h v = Hashtbl.hash v\n") ])
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -224,8 +392,8 @@ let qcheck_tests =
     QCheck.Test.make ~name:"lexer/linter total on arbitrary input" ~count:500
       QCheck.(string)
       (fun s ->
-        ignore (Engine.lint_source ~rel:"lib/x/y.ml" s);
-        ignore (Engine.lint_source ~rel:"lib/x/y.mli" s);
+        ignore (Sema.lint_source ~rel:"lib/x/y.ml" s);
+        ignore (Sema.lint_source ~rel:"lib/x/y.mli" s);
         true);
     QCheck.Test.make ~name:"F1 fires once per generated comparison" ~count:200
       QCheck.(pair (int_range 0 999) (int_range 0 99))
@@ -235,7 +403,7 @@ let qcheck_tests =
         let hits =
           List.filter
             (fun d -> d.Diag.rule = "F1")
-            (Engine.lint_source ~rel:"lib/x/y.ml" src)
+            (lint_source ~rel:"lib/x/y.ml" src)
         in
         List.length hits = 1);
     QCheck.Test.make ~name:"F1 suppressed by allow comment" ~count:200
@@ -377,7 +545,10 @@ let tests =
         Alcotest.test_case "allow-file suppression" `Quick test_allow_file;
         Alcotest.test_case "dune unix in lib" `Quick test_dune_unix_in_lib;
         Alcotest.test_case "diagnostic rendering" `Quick test_diag_render;
+        Alcotest.test_case "resolved paths and bindings" `Quick
+          test_resolved_shapes;
       ] );
+    ("lint.audit", [ Alcotest.test_case "every rule fires alone" `Quick test_rule_audit ]);
     ("lint.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ( "lint.sanitizer",
       [

@@ -1,6 +1,7 @@
-(* Tests for the AST analysis layer (tools/sema): facts extraction
-   totality, rules S1-S4, shared suppression, the incremental facts
-   cache, the SARIF golden, and the --fix round-trip.
+(* Tests for the lint's cross-module rules (tools/sema): facts
+   extraction totality and parse errors, rules S1-S8/P1-P4/U1-U3, shared
+   suppression, the incremental facts cache, the SARIF golden, and the
+   --fix round-trip.
 
    The acceptance test for S2 mutates the *real* workload generator
    source (replacing the fetch stream with the data stream) and asserts
@@ -8,8 +9,7 @@
    provable, not just qcheck'd. *)
 
 module Diag = Mppm_lint.Diag
-module Engine = Mppm_lint.Engine
-module Fix = Mppm_lint.Fix
+module Fix = Mppm_sema.Fix
 module Sarif = Mppm_lint.Sarif
 module Facts = Mppm_sema.Facts
 module Effects = Mppm_sema.Effects
@@ -39,14 +39,20 @@ let lint_root () =
       Sys.file_exists dir && Sys.is_directory dir)
     candidates
 
-let analyze ?cache_file inputs =
-  Sema.analyze ?cache_file ~dunes:[]
-    (List.map (fun (rel, content) -> { Sema.rel; content }) inputs)
+let report_of = function
+  | Ok r -> r
+  | Error (e :: _) ->
+      Alcotest.failf "%s:%d: %s" e.Mppm_sema.Astparse.pe_rel e.pe_line
+        e.pe_message
+  | Error [] -> Alcotest.fail "parse error without detail"
 
 (* Like [analyze], with dune files so cross-library references resolve. *)
-let analyze_dunes dunes inputs =
-  Sema.analyze ~dunes
-    (List.map (fun (rel, content) -> { Sema.rel; content }) inputs)
+let analyze_dunes ?cache_file dunes inputs =
+  report_of
+    (Sema.analyze ?cache_file ~dunes
+       (List.map (fun (rel, content) -> { Sema.rel; content }) inputs))
+
+let analyze ?cache_file inputs = analyze_dunes ?cache_file [] inputs
 
 let rules_of report = List.map (fun d -> d.Diag.rule) report.Sema.diags
 
@@ -388,8 +394,10 @@ let test_s6_sanctioned_memo_clean () =
           \      42)\n" );
       ]
   in
-  Alcotest.(check (list string)) "registry-backed memo task is sanctioned" []
-    (rules_of r)
+  (* The only finding is the per-file D1 on the fixture's bare
+     [Hashtbl.create]; no purity rule fires. *)
+  Alcotest.(check (list string)) "registry-backed memo task is sanctioned"
+    [ "D1" ] (rules_of r)
 
 let test_s6_real_experiments_injection () =
   (* The acceptance check on real sources: lib/experiments/accuracy.ml is
@@ -464,7 +472,9 @@ let test_s7_handed_to_mutator () =
     \  t\n"
   in
   let r = analyze [ ("lib/demo/local.ml", src) ] in
-  Alcotest.(check (list string)) "locally-owned state is fine" [] (rules_of r)
+  (* Only the per-file D1 on the bare [Hashtbl.create]; no S7. *)
+  Alcotest.(check (list string)) "locally-owned state is fine" [ "D1" ]
+    (rules_of r)
 
 (* ---- S8: declared lock order ------------------------------------------------ *)
 
@@ -609,22 +619,21 @@ let test_suppression () =
   in
   Alcotest.(check (list string)) "allow-file suppresses S3" [] (rules_of r)
 
-(* ---- Totality of extraction (fallback engages, never crashes) ------------- *)
+(* ---- Totality of extraction (facts or a parse error, never a crash) ------ *)
 
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"facts extraction total on arbitrary bytes"
       ~count:300 QCheck.string (fun s ->
-        let f = Facts.extract ~rel:"lib/x/y.ml" s in
-        let g = Facts.extract ~rel:"lib/x/y.mli" s in
-        ignore f.Facts.parse_failed;
-        ignore g.Facts.parse_failed;
+        ignore (Facts.extract ~rel:"lib/x/y.ml" s);
+        ignore (Facts.extract ~rel:"lib/x/y.mli" s);
         true);
     QCheck.Test.make ~name:"analysis total on arbitrary bytes" ~count:100
       QCheck.string (fun s ->
-        ignore (analyze [ ("lib/x/y.ml", s) ]);
+        ignore
+          (Sema.analyze ~dunes:[] [ { Sema.rel = "lib/x/y.ml"; content = s } ]);
         true);
-    QCheck.Test.make ~name:"fallback engages on mutated real sources"
+    QCheck.Test.make ~name:"extraction total on mutated real sources"
       ~count:60
       QCheck.(pair small_nat string)
       (fun (pos, garbage) ->
@@ -639,18 +648,60 @@ let qcheck_tests =
               String.sub content 0 pos ^ garbage
               ^ String.sub content pos (String.length content - pos)
             in
-            let f = Facts.extract ~rel:"lib/trace/generator.ml" mutated in
-            (* Either it still parses (the splice was benign) or the
-               fallback engaged; both are fine — no exception escaped. *)
-            ignore f.Facts.parse_failed;
-            true);
+            (* Either it still parses (the splice was benign) or it is
+               a parse error naming the file; no exception escapes. *)
+            match Facts.extract ~rel:"lib/trace/generator.ml" mutated with
+            | Ok _ -> true
+            | Error e -> e.Mppm_sema.Astparse.pe_rel = "lib/trace/generator.ml");
   ]
 
-let test_fallback_is_flagged () =
-  let f = Facts.extract ~rel:"lib/x/y.ml" "let let let (((" in
-  Alcotest.(check bool) "parse failure sets the flag" true f.Facts.parse_failed;
-  let r = analyze [ ("lib/x/y.ml", "let let let (((") ] in
-  Alcotest.(check int) "fallback counted" 1 r.Sema.fallbacks
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A file the compiler rejects is reported, never linted partially: the
+   entry points return the parse error, and lint.exe exits 2 naming the
+   file and line. *)
+let test_parse_error_exits_2 () =
+  let bad = "let x = 1\nlet let let (((\n" in
+  (match Facts.extract ~rel:"lib/x/y.ml" bad with
+  | Error e ->
+      Alcotest.(check int) "error line" 2 e.Mppm_sema.Astparse.pe_line
+  | Ok _ -> Alcotest.fail "expected a parse error");
+  (match Sema.analyze ~dunes:[] [ { Sema.rel = "lib/x/y.ml"; content = bad } ] with
+  | Error [ e ] ->
+      Alcotest.(check string) "error names the file" "lib/x/y.ml"
+        e.Mppm_sema.Astparse.pe_rel
+  | _ -> Alcotest.fail "expected exactly one parse error");
+  match lint_root () with
+  | None -> Alcotest.fail "cannot locate the source tree"
+  | Some src_root ->
+      let exe = Filename.concat src_root "tools/lint/lint.exe" in
+      if Sys.file_exists exe then begin
+        let root = Filename.temp_file "mppm_parse" "" in
+        Sys.remove root;
+        List.iter
+          (fun d -> Unix.mkdir (Filename.concat root d) 0o755)
+          [ ""; "lib"; "lib/demo" ];
+        let oc = open_out (Filename.concat root "lib/demo/bad.ml") in
+        output_string oc bad;
+        close_out oc;
+        let out = Filename.temp_file "mppm_lint_out" ".txt" in
+        let rc =
+          Sys.command
+            (Printf.sprintf "%s --root %s > %s 2>&1" (Filename.quote exe)
+               (Filename.quote root) (Filename.quote out))
+        in
+        let output = read_file out in
+        Sys.remove out;
+        rm_rf root;
+        Alcotest.(check int) "unparsable file exits 2" 2 rc;
+        Alcotest.(check bool) "message names file and line" true
+          (contains output "lint: lib/demo/bad.ml:2: ")
+      end
 
 (* ---- P1-P4: hot-path perf rules ------------------------------------------ *)
 
@@ -1128,13 +1179,17 @@ let test_cache_via_driver () =
 (* ---- SARIF golden ---------------------------------------------------------- *)
 
 let fixture_diags () =
-  let token =
-    Engine.lint_source ~rel:"lib/demo/tbl.ml" "let t = Hashtbl.create 16\n"
+  let per_file =
+    match
+      Sema.lint_source ~rel:"lib/demo/tbl.ml" "let t = Hashtbl.create 16\n"
+    with
+    | Ok ds -> ds
+    | Error _ -> Alcotest.fail "fixture must parse"
   in
   let sema =
     analyze [ ("lib/demo/leaky.ml", leaky); ("lib/demo/acc.ml", accum) ]
   in
-  List.sort Diag.compare (token @ sema.Sema.diags)
+  List.sort Diag.compare (per_file @ sema.Sema.diags)
 
 let test_sarif_golden () =
   let rendered = Sarif.render (fixture_diags ()) in
@@ -1166,13 +1221,6 @@ let test_sarif_shape () =
 
 (* ---- --fix round-trip ------------------------------------------------------ *)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let test_fix_round_trip () =
   let root = Filename.temp_file "mppm_fix" "" in
   Sys.remove root;
@@ -1199,25 +1247,26 @@ let test_fix_round_trip () =
     (contains content "let u = Hashtbl.create 8");
   (* Round-trip: the fixed tree re-lints clean of the fixable shapes and a
      second pass changes nothing. *)
-  let diags = Engine.lint_source ~rel:"lib/demo/box.ml" content in
+  let diags =
+    match Sema.lint_source ~rel:"lib/demo/box.ml" content with
+    | Ok ds -> ds
+    | Error _ -> Alcotest.fail "fixed file must parse"
+  in
   Alcotest.(check (list string)) "no E1 left" []
     (List.map (fun d -> d.Diag.rule)
        (List.filter (fun d -> d.Diag.rule = "E1") diags));
   Alcotest.(check (list (pair string int))) "idempotent" [] (Fix.fix_tree ~root);
   rm_rf root
 
-(* ---- Whole-tree assertions (AST layer) ------------------------------------- *)
+(* ---- Whole-tree assertions ------------------------------------------------- *)
 
 let test_tree_sema_clean () =
   match lint_root () with
   | None -> Alcotest.fail "cannot locate the source tree"
   | Some root ->
-      let report = Sema.analyze_tree ~root () in
+      let report = report_of (Sema.analyze_tree ~root ()) in
       let render ds = String.concat "\n" (List.map Diag.to_text ds) in
-      Alcotest.(check string) "no AST-layer findings" ""
-        (render report.Sema.diags);
-      Alcotest.(check int) "every file parses (no fallbacks)" 0
-        report.Sema.fallbacks;
+      Alcotest.(check string) "no findings" "" (render report.Sema.diags);
       Alcotest.(check bool) "effect summaries cover the tree" true
         (List.length report.Sema.summaries > 100)
 
@@ -1262,7 +1311,8 @@ let tests =
         Alcotest.test_case "S8 lock order" `Quick test_s8_lock_order;
         Alcotest.test_case "purity suppression" `Quick test_purity_suppression;
         Alcotest.test_case "shared suppression" `Quick test_suppression;
-        Alcotest.test_case "fallback is flagged" `Quick test_fallback_is_flagged;
+        Alcotest.test_case "unparsable file exits 2" `Quick
+          test_parse_error_exits_2;
       ] );
     ( "sema.hotpath",
       [

@@ -1,20 +1,20 @@
-(* mppm-lint driver: run both analysis layers over the tree, print the
-   merged findings, exit 1 on errors.
+(* mppm-lint driver: run every rule over the tree, print the findings,
+   exit 1 on errors.
 
-   Layers: the token rules (D1 D2 F1 M1 E1 O1, Mppm_lint) and the AST
-   rules (S1-S8, the hot-path perf rules P1-P4 and the unit rules U1-U3,
-   Mppm_sema).  Both share root-relative paths and the
-   [(* lint: allow ... *)] suppression comments.
+   The rules (per-file D1 D2 F1 M1 E1 O1, the cross-module S1-S8, the
+   hot-path perf rules P1-P4 and the unit rules U1-U3) all run over
+   compiler-libs parse trees in Mppm_sema and share the
+   [(* lint: allow ... *)] suppression comments.  A file the compiler
+   rejects is a usage-level failure: exit 2 naming the file and line.
 
    Usage: lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]...
                    [--rules R1,R2] [--fix] [--cache FILE] [--verbose]
                    [--report hot|units] [--bench FILE] *)
 
 module Diag = Mppm_lint.Diag
-module Engine = Mppm_lint.Engine
-module Rules = Mppm_lint.Rules
-module Fix = Mppm_lint.Fix
 module Sarif = Mppm_lint.Sarif
+module Sema = Mppm_sema.Sema
+module Fix = Mppm_sema.Fix
 
 type format = Text | Json | Sarif
 
@@ -187,11 +187,11 @@ let report_units (report : Mppm_sema.Sema.report) =
   end;
   opaque_hot = []
 
-(* --fix, sema side: insert a missing (* mppm: unit ... *) annotation at
-   the end of an .mli val line whose unit the strict (fallback-free)
-   inference determined uniquely from its definition.  End-of-line
-   placement keeps the annotation inside the lexer's attachment window
-   without disturbing M1's doc-comment association.  Idempotent: an
+(* --fix, unit annotations: insert a missing (* mppm: unit ... *)
+   annotation at the end of an .mli val line whose unit the strict
+   (fallback-free) inference determined uniquely from its definition.
+   End-of-line placement keeps the annotation inside its attachment
+   window without disturbing M1's doc-comment association.  Idempotent: an
    annotated item is never suggested again. *)
 let apply_unit_suggestions ~root suggestions =
   let by_file = Hashtbl.create 16 in
@@ -240,9 +240,9 @@ let () =
   let report_mode = ref "" in
   let bench = ref "" in
   let add_rule r =
-    if not (List.mem r Rules.all_rule_ids) then begin
+    if not (List.mem r Mppm_lint.Rule_info.all_ids) then begin
       Printf.eprintf "lint: unknown rule %s (known: %s)\n" r
-        (String.concat " " (List.sort compare Rules.all_rule_ids));
+        (String.concat " " (List.sort compare Mppm_lint.Rule_info.all_ids));
       exit 2
     end;
     if not (List.mem r !only) then only := r :: !only
@@ -278,7 +278,7 @@ let () =
          second run over an unchanged tree re-parses nothing" );
       ( "--verbose",
         Arg.Set verbose,
-        "  print per-layer statistics (sema parses / cache hits / fallbacks)"
+        "  print facts-cache statistics (parses / cache hits)"
       );
       ( "--report",
         Arg.String
@@ -307,11 +307,11 @@ let () =
     not
       (List.exists
          (fun d -> Sys.file_exists (Filename.concat !root d))
-         Engine.scanned_dirs)
+         Sema.scanned_dirs)
   then begin
     Printf.eprintf "lint: %s contains none of the scanned directories (%s)\n"
       !root
-      (String.concat " " Engine.scanned_dirs);
+      (String.concat " " Sema.scanned_dirs);
     exit 2
   end;
   if !fix then begin
@@ -323,9 +323,18 @@ let () =
       fixed
   end;
   let analyze () =
-    Mppm_sema.Sema.analyze_tree
-      ?cache_file:(if !cache_file = "" then None else Some !cache_file)
-      ~root:!root ()
+    match
+      Sema.analyze_tree
+        ?cache_file:(if !cache_file = "" then None else Some !cache_file)
+        ~root:!root ()
+    with
+    | Ok report -> report
+    | Error errors ->
+        List.iter
+          (fun (e : Mppm_sema.Astparse.parse_error) ->
+            Printf.eprintf "lint: %s:%d: %s\n" e.pe_rel e.pe_line e.pe_message)
+          errors;
+        exit 2
   in
   let report = analyze () in
   let report =
@@ -347,18 +356,15 @@ let () =
     exit 0
   end;
   if !report_mode = "units" then exit (if report_units report then 0 else 1);
-  let token_diags = Engine.lint_tree ~root:!root in
-  let diags = List.sort Diag.compare (token_diags @ report.Mppm_sema.Sema.diags) in
   let diags =
     match !only with
-    | [] -> diags
-    | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) diags
+    | [] -> report.Sema.diags
+    | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) report.Sema.diags
   in
   if !verbose then
-    Printf.printf "sema: parses=%d cache-hits=%d fallbacks=%d\n"
-      report.Mppm_sema.Sema.parses report.Mppm_sema.Sema.cache_hits
-      report.Mppm_sema.Sema.fallbacks;
-  let errors = Engine.errors diags in
+    Printf.printf "sema: parses=%d cache-hits=%d\n" report.Sema.parses
+      report.Sema.cache_hits;
+  let errors = List.filter (fun d -> d.Diag.severity = Diag.Error) diags in
   (match !format with
   | Json -> print_endline (Diag.list_to_json diags)
   | Sarif -> print_string (Sarif.render diags)

@@ -1,13 +1,12 @@
-type t = { id : string; layer : string; summary : string }
+type t = { id : string; summary : string }
 
-(* Report order: token-layer rules first, then the AST layer.  SARIF
-   [ruleIndex] values index into this list, so the order is part of the
-   golden-tested output format. *)
+(* Report order: the per-file rules first, then the cross-module ones.
+   SARIF [ruleIndex] values index into this list, so the order is part of
+   the golden-tested output format. *)
 let all =
   [
     {
       id = "D1";
-      layer = "token";
       summary =
         "Nondeterminism source in lib/: stdlib Random, wall-clock reads, \
          Hashtbl.hash-family, Hashtbl.create without ~random:false, or a \
@@ -15,42 +14,36 @@ let all =
     };
     {
       id = "D2";
-      layer = "token";
       summary =
         "stdlib Random outside Mppm_util.Rng: all randomness must flow from \
          integer seeds through Mppm_util.Rng.";
     };
     {
       id = "F1";
-      layer = "token";
       summary =
-        "Float equality via polymorphic =/==/<>/!=/compare against a float \
-         literal; use Mppm_util.Stats.approx_equal or Float.equal.";
+        "Float equality via polymorphic =/==/<>/!=/compare applied to a \
+         float constant; use Float.equal or an explicit tolerance.";
     };
     {
       id = "M1";
-      layer = "token";
       summary =
         "Public lib/ module without an .mli, or an .mli item without a doc \
          comment.";
     };
     {
       id = "E1";
-      layer = "token";
       summary =
         "failwith/invalid_arg message without the defining module's name as \
          prefix.";
     };
     {
       id = "O1";
-      layer = "token";
       summary =
         "Console output from lib/: return data, render via a caller-supplied \
          formatter, or emit through an Mppm_obs sink.";
     };
     {
       id = "S1";
-      layer = "ast";
       summary =
         "Effect containment: a lib/ function transitively reaches file or \
          channel I/O outside the allowlisted profile-cache / trace-file / \
@@ -58,7 +51,6 @@ let all =
     };
     {
       id = "S2";
-      layer = "ast";
       summary =
         "Seed flow: an Mppm_util.Rng state created from a baked-in literal \
          seed, or one Rng stream feeding both the data (next) and fetch \
@@ -66,28 +58,24 @@ let all =
     };
     {
       id = "S3";
-      layer = "ast";
       summary =
         "Order-sensitive float accumulation over unordered Hashtbl \
          iteration: the sum depends on hash-bucket order.";
     };
     {
       id = "S4";
-      layer = "ast";
       summary =
         "Dead export: a lib/ .mli value referenced by no other compilation \
          unit.";
     };
     {
       id = "S5";
-      layer = "ast";
       summary =
         "Concurrency containment: a lib/ function transitively reaches the \
          Domain/Mutex/Condition/Atomic surface outside lib/pool/.";
     };
     {
       id = "S6";
-      layer = "ast";
       summary =
         "Pool-task purity: a closure reaching Pool.map/map_reduce or a \
          Single_flight memo writes captured or module-level mutable state, \
@@ -95,7 +83,6 @@ let all =
     };
     {
       id = "S7";
-      layer = "ast";
       summary =
         "Module-level mutable state in lib/ (ref/Hashtbl.create at \
          toplevel, a write to one, or handing one to a mutating callee) \
@@ -103,14 +90,12 @@ let all =
     };
     {
       id = "S8";
-      layer = "ast";
       summary =
         "Lock order: lib/pool/ and the obs registry must acquire their \
          mutexes in the declared order (pool before registry).";
     };
     {
       id = "P1";
-      layer = "ast";
       summary =
         "Heap allocation on a hot path: closure capture, \
          tuple/record/array/list construction, or an allocating stdlib \
@@ -119,28 +104,24 @@ let all =
     };
     {
       id = "P2";
-      layer = "ast";
       summary =
         "Polymorphic =/<>/compare/Hashtbl.hash reaching a hot path; use \
          monomorphic Int.equal/Float.equal.";
     };
     {
       id = "P3";
-      layer = "ast";
       summary =
         "Hashtbl traffic (create/add/find/iter/...) on a hot path: the \
          per-quantum loop must index arrays, not hash.";
     };
     {
       id = "P4";
-      layer = "ast";
       summary =
         "Boxed-float ref accumulation in a hot loop; accumulate through \
          a float array cell or an unboxed accumulator argument.";
     };
     {
       id = "U1";
-      layer = "ast";
       summary =
         "Mixed-unit arithmetic or comparison: adding, subtracting, \
          min/max-ing or comparing two quantities whose (* mppm: unit *) \
@@ -148,7 +129,6 @@ let all =
     };
     {
       id = "U2";
-      layer = "ast";
       summary =
         "Cumulative/per-interval confusion: adding two cumulative \
          counters, or passing/storing a cumulative value where a \
@@ -157,7 +137,6 @@ let all =
     };
     {
       id = "U3";
-      layer = "ast";
       summary =
         "Inverted or unit-unsound ratio: cycles/insns mixed with \
          insns/cycles (CPI vs IPC), or an interval index used as an \

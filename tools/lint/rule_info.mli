@@ -1,14 +1,12 @@
-(** Registry of every lint rule across both analysis layers.
+(** Registry of every lint rule.
 
-    The token layer ([Rules], over {!Lexer} output) and the AST layer
-    ([Mppm_sema], over compiler-libs parse trees) share one diagnostic
-    stream, one suppression syntax and one output format; this module is
-    the single list of rule ids and descriptions both layers and the
-    SARIF renderer agree on. *)
+    The per-file rules and the cross-module rules of [Mppm_sema] share
+    one diagnostic stream, one suppression syntax and one output format;
+    this module is the single list of rule ids and descriptions the
+    driver and the SARIF renderer agree on. *)
 
 type t = {
   id : string;  (** rule identifier, e.g. ["D1"] or ["S2"] *)
-  layer : string;  (** ["token"] or ["ast"] *)
   summary : string;  (** one-sentence description, used in SARIF rules *)
 }
 

@@ -14,10 +14,9 @@ let esc = Diag.json_escape
 
 let rule_to_json r =
   Printf.sprintf
-    "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"properties\":{\"layer\":\"%s\"}}"
+    "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}"
     (esc r.Rule_info.id)
     (esc r.Rule_info.summary)
-    (esc r.Rule_info.layer)
 
 let level_of = function Diag.Error -> "error" | Diag.Warning -> "warning"
 

@@ -5,7 +5,7 @@
    The cache is disposable: any read failure (missing file, stale magic
    after a format change, truncation) degrades to an empty cache. *)
 
-let magic = "mppm-sema-cache v5"
+let magic = "mppm-sema-cache v6"
 
 let key ~rel content =
   Mppm_util.Fingerprint.(

@@ -154,7 +154,7 @@ let build_nodes facts_list =
   let nodes : (string, node) Hashtbl.t = Hashtbl.create ~random:false 256 in
   List.iter
     (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
+      if not f.Facts.is_mli then
         let unit_key = Facts.unit_key_of_rel f.Facts.rel in
         List.iter
           (fun (fn : Facts.fn) ->
@@ -232,7 +232,7 @@ let callee_label callee =
 let seed_top_arg_calls env facts_list nodes =
   List.iter
     (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
+      if not f.Facts.is_mli then
         let unit_key = Facts.unit_key_of_rel f.Facts.rel in
         List.iter
           (fun (fn : Facts.fn) ->
@@ -279,7 +279,7 @@ let propagate env facts_list nodes =
     changed := false;
     List.iter
       (fun (f : Facts.t) ->
-        if (not f.Facts.is_mli) && not f.Facts.parse_failed then
+        if not f.Facts.is_mli then
           let unit_key = Facts.unit_key_of_rel f.Facts.rel in
           List.iter
             (fun (fn : Facts.fn) ->

@@ -123,7 +123,6 @@ type t = {
   unit_name : string;  (* capitalized stem, e.g. "Generator" *)
   dir : string;  (* e.g. "lib/trace" *)
   is_mli : bool;
-  parse_failed : bool;
   opens : string list list;
   aliases : (string * string list) list;  (* module X = A.B *)
   fns : fn list;
@@ -139,18 +138,15 @@ type t = {
       (* (name, kind, line): module-level mutable allocations *)
   allows : (string * int) list;
   allow_files : string list;
+  findings : Mppm_lint.Diag.t list;  (* per-file rules, unsuppressed *)
 }
 
 let unit_key_of_rel rel = Filename.remove_extension rel
 
 (* ---- path helpers ------------------------------------------------------ *)
 
-let flatten lid = try Longident.flatten lid with _ -> []
-
-let expand aliases path =
-  match path with
-  | a :: rest when List.mem_assoc a aliases -> List.assoc a aliases @ rest
-  | _ -> path
+let flatten = Astparse.flatten
+let expand = Astparse.expand
 
 let channel_prims =
   [
@@ -1524,10 +1520,8 @@ let mli_fields_of_signature signature =
     signature
 
 let extract ~rel content =
-  let rel = Mppm_lint.Engine.normalize_rel rel in
   let is_mli = Filename.check_suffix rel ".mli" in
-  let lx = Mppm_lint.Lexer.lex content in
-  let base =
+  let base (c : Astparse.comments) =
     {
       rel;
       unit_name =
@@ -1535,7 +1529,6 @@ let extract ~rel content =
           (Filename.remove_extension (Filename.basename rel));
       dir = Filename.dirname rel;
       is_mli;
-      parse_failed = false;
       opens = [];
       aliases = [];
       fns = [];
@@ -1546,33 +1539,34 @@ let extract ~rel content =
       rng_creates = [];
       float_accums = [];
       toplevel_muts = [];
-      allows = lx.Mppm_lint.Lexer.allows;
-      allow_files = lx.Mppm_lint.Lexer.allow_files;
+      allows = c.allows;
+      allow_files = c.allow_files;
+      findings = [];
     }
   in
   if is_mli then
-    match Astparse.interface ~filename:rel content with
-    | Some signature ->
-        let units = lx.Mppm_lint.Lexer.units in
+    Result.map
+      (fun { Astparse.ast = signature; comments = c } ->
         let mli_vals = mli_vals_of_signature signature in
         let attach items =
           List.filter_map
             (fun (name, line) ->
-              match unit_annot_near units line with
+              match unit_annot_near c.units line with
               | Some u -> Some (name, u)
               | None -> None)
             items
         in
         {
-          base with
+          (base c) with
           mli_vals;
           val_units = attach mli_vals;
           field_units = attach (mli_fields_of_signature signature);
-        }
-    | None -> { base with parse_failed = true }
+          findings = Filecheck.signature ~rel ~docs:c.docs signature;
+        })
+      (Astparse.interface ~filename:rel content)
   else
-    match Astparse.implementation ~filename:rel content with
-    | Some structure ->
+    Result.map
+      (fun { Astparse.ast = structure; comments = c } ->
         let st =
           {
             st_opens = [];
@@ -1583,16 +1577,16 @@ let extract ~rel content =
             st_refs = [];
             st_creates = [];
             st_accums = [];
-            st_hots = lx.Mppm_lint.Lexer.hots;
-            st_colds = lx.Mppm_lint.Lexer.colds;
-            st_units = lx.Mppm_lint.Lexer.units;
+            st_hots = c.hots;
+            st_colds = c.colds;
+            st_units = c.units;
             st_fields = [];
           }
         in
         collect_scaffolding st structure;
         collect_fns st structure;
         {
-          base with
+          (base c) with
           opens = List.rev st.st_opens;
           aliases = st.st_aliases;
           fns = List.rev st.st_fns;
@@ -1601,5 +1595,7 @@ let extract ~rel content =
           rng_creates = List.rev st.st_creates;
           float_accums = List.rev st.st_accums;
           toplevel_muts = List.rev st.st_topmuts;
-        }
-    | None -> { base with parse_failed = true }
+          findings =
+            Filecheck.structure ~rel ~aliases:st.st_aliases structure;
+        })
+      (Astparse.implementation ~filename:rel content)

@@ -3,8 +3,10 @@
     Facts are plain serializable data (no AST nodes), so they can be
     cached by source fingerprint ({!Cache}) and re-fed to the cross-module
     passes ({!Effects}, {!Seedflow}, {!Purity}, S4 in {!Sema}) without
-    re-parsing.  Extraction is purely syntactic; every judgment is a
-    heuristic tuned to be zero-noise on this tree. *)
+    re-parsing; they also carry the findings of the per-file rules
+    ({!Filecheck}), so the cache covers those too.  Extraction is purely
+    syntactic; every judgment is a heuristic tuned to be zero-noise on
+    this tree. *)
 
 type mut_scope =
   | Mut_local
@@ -185,9 +187,6 @@ type t = {
   unit_name : string;  (** capitalized stem, e.g. ["Generator"] *)
   dir : string;  (** e.g. ["lib/trace"] *)
   is_mli : bool;
-  parse_failed : bool;
-      (** the compiler-libs parse failed; only the lexer-derived fields
-          ([allows], [allow_files]) are populated *)
   opens : string list list;  (** [open]ed module paths, file-wide *)
   aliases : (string * string list) list;  (** [module X = A.B] aliases *)
   fns : fn list;
@@ -198,7 +197,7 @@ type t = {
           [(* mppm: unit ... *)] comment on its line or the line above *)
   field_units : (string * string) list;
       (** [(record field, unit annotation)] pairs from the file's type
-          declarations (both layers of a [.ml]/[.mli] pair contribute) *)
+          declarations (both files of a [.ml]/[.mli] pair contribute) *)
   rng_creates : rng_create list;
   float_accums : float_accum list;
   toplevel_muts : (string * string * int) list;
@@ -206,16 +205,20 @@ type t = {
           inventory ([ref]/[Hashtbl.create]/[Buffer.create]/...).
           Mutable records and toplevel arrays are caught at their write
           sites instead, so constant tables stay unflagged. *)
-  allows : (string * int) list;  (** line-scoped suppressions (shared
-      syntax with the token layer) *)
-  allow_files : string list;  (** file-scoped suppressions *)
+  allows : (string * int) list;
+      (** [(rule, line)] from [(* lint: allow ... *)] comments *)
+  allow_files : string list;
+      (** rules suppressed file-wide by [(* lint: allow-file ... *)] *)
+  findings : Mppm_lint.Diag.t list;
+      (** the per-file rules' findings ({!Filecheck}), before
+          suppression *)
 }
 
 val unit_key_of_rel : string -> string
 (** The globally unique compilation-unit key of a source path: the path
     without its extension, so a [.ml]/[.mli] pair shares one key. *)
 
-val extract : rel:string -> string -> t
-(** [extract ~rel content] parses and scans one source file.  Total: on
-    parse failure the result has [parse_failed = true] and carries only
-    the lexer-derived suppression data. *)
+val extract : rel:string -> string -> (t, Astparse.parse_error) result
+(** [extract ~rel content] parses and scans one source file, [rel] being
+    its normalized root-relative path.  Total: a file the compiler
+    rejects yields [Error], never an exception. *)

@@ -6,7 +6,10 @@
 
    Fixes are driven by re-linting, so suppressed findings are never
    rewritten, and a pass is repeated until the file re-lints clean of the
-   fixable shapes (bounded, in case a line resists fixing). *)
+   fixable shapes (bounded, in case a line resists fixing).  A file that
+   does not parse is left alone. *)
+
+module Diag = Mppm_lint.Diag
 
 let substr_index_from line start needle =
   let n = String.length needle and h = String.length line in
@@ -75,7 +78,11 @@ let is_fixable d =
   | _ -> false
 
 let apply_once ~rel content =
-  let diags = List.filter is_fixable (Engine.lint_source ~rel content) in
+  let diags =
+    match Sema.lint_source ~rel content with
+    | Ok diags -> List.filter is_fixable diags
+    | Error _ -> []
+  in
   if diags = [] then (content, 0)
   else
     let module_name =
@@ -114,12 +121,12 @@ let fix_source ~rel content =
   go content 0 0
 
 let fix_tree ~root =
-  Engine.collect_tree ~root
+  Sema.collect_tree ~root
   |> List.filter_map (fun rel ->
          if not (Filename.check_suffix rel ".ml") then None
          else
            let path = Filename.concat root rel in
-           let content = Engine.read_file path in
+           let content = Sema.read_file path in
            let fixed, n = fix_source ~rel content in
            if n = 0 then None
            else begin

@@ -85,7 +85,7 @@ let analyze env facts_list =
   let nodes : (string, node) Hashtbl.t = Hashtbl.create ~random:false 512 in
   List.iter
     (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then begin
+      if not f.Facts.is_mli then begin
         let unit_key = Facts.unit_key_of_rel f.Facts.rel in
         List.iter
           (fun (fn : Facts.fn) ->

@@ -116,7 +116,6 @@ let s6 table facts_list =
     (fun (f : Facts.t) ->
       if
         in_lib f.Facts.rel && (not f.Facts.is_mli)
-        && (not f.Facts.parse_failed)
         && not (Effects.in_purity_allowlist (Facts.unit_key_of_rel f.Facts.rel))
       then
         List.concat_map
@@ -136,7 +135,6 @@ let s7 table facts_list =
     (fun (f : Facts.t) ->
       if
         in_lib f.Facts.rel && (not f.Facts.is_mli)
-        && (not f.Facts.parse_failed)
         && not (Effects.in_purity_allowlist (Facts.unit_key_of_rel f.Facts.rel))
       then
         let d line message = diag f.Facts.rel line "S7" message in
@@ -191,7 +189,7 @@ let s7 table facts_list =
 let s8 table facts_list =
   List.concat_map
     (fun (f : Facts.t) ->
-      if f.Facts.is_mli || f.Facts.parse_failed then []
+      if f.Facts.is_mli then []
       else
         match Effects.lock_class_of_unit (Facts.unit_key_of_rel f.Facts.rel) with
         | None -> []

@@ -67,8 +67,7 @@ let fn_line (facts : Facts.t) name =
     facts.Facts.fns
 
 let check_unit (facts : Facts.t) =
-  if facts.Facts.is_mli || facts.Facts.parse_failed || not (in_lib facts.Facts.rel)
-  then []
+  if facts.Facts.is_mli || not (in_lib facts.Facts.rel) then []
   else begin
     let sets = field_sets facts in
     let pair_diags =

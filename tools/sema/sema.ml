@@ -1,16 +1,14 @@
-(* Top-level driver of the AST analysis layer.
+(* The lint driver.
 
-   Extraction (per file, cacheable) feeds the cross-checks: S1/S5 effect
-   containment (Effects), S2 seed-flow (Seedflow), S3 order-sensitive
-   float accumulation and S4 dead exports (here), and the S6/S7/S8
-   parallel-determinism rules (Purity) over the closed effect table.
-   Suppression reuses the token layer's [(* lint: allow ... *)] semantics
-   via Engine.suppress, so one comment silences findings from either
-   layer. *)
+   Extraction (per file, cacheable) runs the per-file rules (Filecheck)
+   and feeds the cross-checks: S1/S5 effect containment (Effects), S2
+   seed-flow (Seedflow), S3 order-sensitive float accumulation and S4
+   dead exports (here), the S6/S7/S8 parallel-determinism rules
+   (Purity), the P rules (Hotpath) and the U rules (Units).  One
+   suppression pass over the merged findings applies every file's
+   [(* lint: allow ... *)] comments. *)
 
 module Diag = Mppm_lint.Diag
-module Engine = Mppm_lint.Engine
-module Rules = Mppm_lint.Rules
 
 type input = { rel : string; content : string }
 
@@ -18,11 +16,45 @@ type report = {
   diags : Diag.t list;
   parses : int;
   cache_hits : int;
-  fallbacks : int;
   summaries : (string * string * string) list;
   hot : Hotpath.entry list;
   units : Units.analysis;
 }
+
+(* Strip leading "./" segments and use '/' separators, so reports are
+   stable root-relative paths whatever form the caller handed in. *)
+let normalize_rel rel =
+  let rec strip rel =
+    if String.length rel >= 2 && String.sub rel 0 2 = "./" then
+      strip (String.sub rel 2 (String.length rel - 2))
+    else rel
+  in
+  strip (String.map (fun c -> if c = '\\' then '/' else c) rel)
+
+(* Drop findings whose rule is allowed file-wide, or on the finding's
+   line or the line above. *)
+let suppress ~allows ~allow_files diags =
+  List.filter
+    (fun d ->
+      (not (List.mem d.Diag.rule allow_files))
+      && not
+           (List.exists
+              (fun (rule, line) ->
+                rule = d.Diag.rule
+                && (line = d.Diag.line || line = d.Diag.line - 1))
+              allows))
+    diags
+
+let lint_source ~rel content =
+  let rel = normalize_rel rel in
+  if Filename.basename rel = "dune" then Ok (Filecheck.dune ~rel content)
+  else
+    Result.map
+      (fun (f : Facts.t) ->
+        List.sort Diag.compare
+          (suppress ~allows:f.Facts.allows ~allow_files:f.Facts.allow_files
+             f.Facts.findings))
+      (Facts.extract ~rel content)
 
 let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
@@ -62,35 +94,29 @@ let s4 env facts_list =
   in
   List.iter
     (fun (f : Facts.t) ->
-      if not f.Facts.parse_failed then begin
-        let self = Facts.unit_key_of_rel f.Facts.rel in
-        let opened_units =
-          List.filter_map
-            (fun open_path ->
-              match Resolve.resolve env f (open_path @ [ "_" ]) with
-              | Some (u, _) when u <> self -> Some u
-              | _ -> None)
-            f.Facts.opens
-        in
-        List.iter
-          (fun path ->
-            match path with
-            | [ name ] ->
-                List.iter
-                  (fun u -> Hashtbl.replace used (u, name) ())
-                  opened_units
-            | _ -> (
-                match Resolve.resolve env f path with
-                | Some (u, m) when u <> self -> Hashtbl.replace used (u, m) ()
-                | _ -> ()))
-          f.Facts.refs
-      end)
+      let self = Facts.unit_key_of_rel f.Facts.rel in
+      let opened_units =
+        List.filter_map
+          (fun open_path ->
+            match Resolve.resolve env f (open_path @ [ "_" ]) with
+            | Some (u, _) when u <> self -> Some u
+            | _ -> None)
+          f.Facts.opens
+      in
+      List.iter
+        (fun path ->
+          match path with
+          | [ name ] ->
+              List.iter (fun u -> Hashtbl.replace used (u, name) ()) opened_units
+          | _ -> (
+              match Resolve.resolve env f path with
+              | Some (u, m) when u <> self -> Hashtbl.replace used (u, m) ()
+              | _ -> ()))
+        f.Facts.refs)
     facts_list;
   List.concat_map
     (fun (f : Facts.t) ->
-      if
-        f.Facts.is_mli && in_lib f.Facts.rel && not f.Facts.parse_failed
-      then
+      if f.Facts.is_mli && in_lib f.Facts.rel then
         let self = Facts.unit_key_of_rel f.Facts.rel in
         List.filter_map
           (fun (name, line) ->
@@ -117,74 +143,124 @@ let analyze ?cache_file ~dunes inputs =
   let cache =
     match cache_file with Some p -> Cache.load p | None -> Cache.create ()
   in
-  let parses = ref 0 and hits = ref 0 and fallbacks = ref 0 in
-  let facts_list =
+  let parses = ref 0 and hits = ref 0 in
+  let extracted =
     List.map
       (fun { rel; content } ->
-        let rel = Engine.normalize_rel rel in
+        let rel = normalize_rel rel in
         let k = Cache.key ~rel content in
         match Cache.find cache k with
         | Some f ->
             incr hits;
-            f
+            Ok f
         | None ->
             incr parses;
-            let f = Facts.extract ~rel content in
-            if f.Facts.parse_failed then incr fallbacks;
-            Cache.add cache k f;
-            f)
+            let r = Facts.extract ~rel content in
+            Result.iter (Cache.add cache k) r;
+            r)
       inputs
   in
   (match cache_file with Some p -> Cache.store p cache | None -> ());
-  let env =
-    Resolve.build ~dunes
-      ~files:(List.map (fun (f : Facts.t) -> f.Facts.rel) facts_list)
-  in
-  let table = Effects.build env facts_list in
-  let units = Units.analyze env facts_list in
-  let raw =
-    Effects.check table
-    @ Seedflow.check facts_list
-    @ Purity.check table facts_list
-    @ Hotpath.check env facts_list
-    @ units.Units.u_diags
-    @ s3 facts_list
-    @ s4 env facts_list
-  in
-  let allows_of : (string, (string * int) list * string list) Hashtbl.t =
-    Hashtbl.create ~random:false 256
-  in
-  List.iter
-    (fun (f : Facts.t) ->
-      Hashtbl.replace allows_of f.Facts.rel
-        (f.Facts.allows, f.Facts.allow_files))
-    facts_list;
-  let diags =
-    List.filter
-      (fun d ->
-        match Hashtbl.find_opt allows_of d.Diag.file with
-        | Some (allows, allow_files) ->
-            Engine.suppress ~allows ~allow_files [ d ] <> []
-        | None -> true)
-      raw
-    |> List.sort Diag.compare
-  in
-  {
-    diags;
-    parses = !parses;
-    cache_hits = !hits;
-    fallbacks = !fallbacks;
-    summaries = Effects.summaries table;
-    hot = Hotpath.analyze env facts_list;
-    units;
-  }
+  match List.filter_map (function Error e -> Some e | Ok _ -> None) extracted with
+  | _ :: _ as errors -> Error errors
+  | [] ->
+      let facts_list = List.filter_map Result.to_option extracted in
+      let env =
+        Resolve.build ~dunes
+          ~files:(List.map (fun (f : Facts.t) -> f.Facts.rel) facts_list)
+      in
+      let table = Effects.build env facts_list in
+      let units = Units.analyze env facts_list in
+      let raw =
+        List.concat_map (fun (f : Facts.t) -> f.Facts.findings) facts_list
+        @ List.concat_map (fun (rel, content) -> Filecheck.dune ~rel content) dunes
+        @ Effects.check table
+        @ Seedflow.check facts_list
+        @ Purity.check table facts_list
+        @ Hotpath.check env facts_list
+        @ units.Units.u_diags
+        @ s3 facts_list
+        @ s4 env facts_list
+      in
+      let allows_of : (string, (string * int) list * string list) Hashtbl.t =
+        Hashtbl.create ~random:false 256
+      in
+      List.iter
+        (fun (f : Facts.t) ->
+          Hashtbl.replace allows_of f.Facts.rel
+            (f.Facts.allows, f.Facts.allow_files))
+        facts_list;
+      let diags =
+        List.filter
+          (fun d ->
+            match Hashtbl.find_opt allows_of d.Diag.file with
+            | Some (allows, allow_files) ->
+                suppress ~allows ~allow_files [ d ] <> []
+            | None -> true)
+          raw
+        |> List.sort Diag.compare
+      in
+      Ok
+        {
+          diags;
+          parses = !parses;
+          cache_hits = !hits;
+          summaries = Effects.summaries table;
+          hot = Hotpath.analyze env facts_list;
+          units;
+        }
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let scanned_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples" ]
+
+let skip_dir name =
+  name = "_build" || name = "_profile_cache"
+  || (String.length name > 0 && name.[0] = '.')
+
+let rec collect root rel_dir =
+  let abs = Filename.concat root rel_dir in
+  if not (Sys.file_exists abs && Sys.is_directory abs) then []
+  else
+    Sys.readdir abs |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun name ->
+           let rel = rel_dir ^ "/" ^ name in
+           if Sys.is_directory (Filename.concat root rel) then
+             if skip_dir name then [] else collect root rel
+           else if
+             Filename.check_suffix name ".ml"
+             || Filename.check_suffix name ".mli"
+             || name = "dune"
+           then [ rel ]
+           else [])
+
+let collect_tree ~root = List.concat_map (collect root) scanned_dirs
 
 let analyze_tree ?cache_file ~root () =
-  let files = Engine.collect_tree ~root in
+  let files = collect_tree ~root in
   let dunes, sources =
     List.partition (fun rel -> Filename.basename rel = "dune") files
   in
-  let read rel = Engine.read_file (Filename.concat root rel) in
-  let dunes = List.map (fun rel -> (rel, read rel)) dunes in
-  let inputs = List.map (fun rel -> { rel; content = read rel }) sources in
-  analyze ?cache_file ~dunes inputs
+  let read rel = read_file (Filename.concat root rel) in
+  (* Every lib/ implementation must have an interface. *)
+  let missing =
+    List.filter_map
+      (fun rel ->
+        if
+          in_lib rel
+          && Filename.check_suffix rel ".ml"
+          && not (List.mem (rel ^ "i") sources)
+        then Some (Filecheck.missing_mli ~rel_ml:rel)
+        else None)
+      sources
+  in
+  Result.map
+    (fun report ->
+      { report with diags = List.sort Diag.compare (missing @ report.diags) })
+    (analyze ?cache_file
+       ~dunes:(List.map (fun rel -> (rel, read rel)) dunes)
+       (List.map (fun rel -> { rel; content = read rel }) sources))

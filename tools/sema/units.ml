@@ -625,7 +625,7 @@ let build_tables ~fallback (facts_list : Facts.t list) =
     facts_list;
   List.iter
     (fun (f : Facts.t) ->
-      if (not f.Facts.is_mli) && not f.Facts.parse_failed then
+      if not f.Facts.is_mli then
         List.iter
           (fun (fn : Facts.fn) ->
             let key = fn_key f fn in
@@ -679,7 +679,7 @@ let run_inference ~fallback env (facts_list : Facts.t list) =
   let each_fn f =
     List.iter
       (fun (fa : Facts.t) ->
-        if (not fa.Facts.is_mli) && not fa.Facts.parse_failed then begin
+        if not fa.Facts.is_mli then begin
           cx.cx_facts <- fa;
           cx.cx_self <- Facts.unit_key_of_rel fa.Facts.rel;
           List.iter
@@ -754,11 +754,7 @@ let analyze env (facts_list : Facts.t list) =
       let coverage =
         List.filter_map
           (fun (f : Facts.t) ->
-            if
-              f.Facts.is_mli
-              && in_lib f.Facts.rel
-              && not f.Facts.parse_failed
-            then begin
+            if f.Facts.is_mli && in_lib f.Facts.rel then begin
               let key = Facts.unit_key_of_rel f.Facts.rel in
               let ann = ref 0 and inf = ref 0 and opq = ref 0 in
               let opq_names = ref [] in
@@ -793,11 +789,7 @@ let analyze env (facts_list : Facts.t list) =
       let suggest =
         List.concat_map
           (fun (f : Facts.t) ->
-            if
-              f.Facts.is_mli
-              && in_lib f.Facts.rel
-              && not f.Facts.parse_failed
-            then
+            if f.Facts.is_mli && in_lib f.Facts.rel then
               let key = Facts.unit_key_of_rel f.Facts.rel in
               List.filter_map
                 (fun (name, line) ->
