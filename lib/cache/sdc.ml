@@ -10,7 +10,6 @@ let mass_close a b =
 
 let create ~assoc =
   if assoc <= 0 then invalid_arg "Sdc.create: assoc must be positive";
-  (* lint: allow P1 per-window SDC of Profile.window; prefix-sum profiles (ROADMAP item 3) remove it *)
   { assoc; counters = Array.make (assoc + 1) 0.0 }
 
 let assoc t = t.assoc
@@ -25,7 +24,27 @@ let counter t i =
   if i < 1 || i > t.assoc + 1 then invalid_arg "Sdc.counter: index out of range";
   t.counters.(i - 1)
 
-let accesses t = Array.fold_left ( +. ) 0.0 t.counters
+let counters t = t.counters
+
+(* [dst.(i) <- counters.(first) +. ... +. counters.(last)], summed left
+   to right from 0.0 like [Array.fold_left ( +. ) 0.0], so bit-equal to
+   it.  The running sum lives in the cell: a float accumulator argument
+   would be boxed at every step, a float array cell is not. *)
+(* mppm: unit _ -> ways -> ways -> _ -> _ -> _ *)
+let sum_into counters first last dst i =
+  dst.(i) <- 0.0;
+  for j = first to last do
+    dst.(i) <- dst.(i) +. counters.(j)
+  done
+
+let accesses_into t dst i = sum_into t.counters 0 t.assoc dst i
+let misses_into t dst i = dst.(i) <- t.counters.(t.assoc)
+
+let accesses t =
+  let cell = [| 0.0 |] in
+  accesses_into t cell 0;
+  cell.(0)
+
 let misses t = t.counters.(t.assoc)
 let hits t = accesses t -. misses t
 
@@ -46,7 +65,7 @@ let add a b =
           (accesses b));
   sum
 
-(* mppm: hot — per-quantum SDC summation *)
+(* mppm: hot — in-place SDC summation *)
 let add_into ~dst src =
   if not (Int.equal dst.assoc src.assoc) then
     invalid_arg "Sdc.add_into: associativity mismatch";
@@ -61,7 +80,6 @@ let add_into ~dst src =
 
 let scale t k =
   if k < 0.0 then invalid_arg "Sdc.scale: negative factor";
-  (* lint: allow P1 per-window rescale in Profile.window; prefix-sum profiles (ROADMAP item 3) remove it *)
   let scaled = { assoc = t.assoc; counters = Array.map (fun v -> v *. k) t.counters } in
   if Invariant.enabled () then
     Invariant.check "sdc.scale_mass"
@@ -87,24 +105,29 @@ let reduce_associativity t ~assoc:new_assoc =
           new_assoc (accesses t) (accesses reduced));
   reduced
 
-(* misses(k) for integer k ways = sum of counters deeper than k.  A
-   toplevel tail recursion with an unboxed accumulator: no closure, no
-   float ref on the per-quantum projection path. *)
-(* mppm: unit _ -> ways -> ways -> accesses -> accesses *)
-let rec sum_deeper counters last i acc =
-  if i > last then acc else sum_deeper counters last (i + 1) (acc +. counters.(i))
-
+(* misses(k) for integer k ways = sum of the counters deeper than k; the
+   fractional part of [ways] interpolates between misses(k) and
+   misses(k+1).  Both sums run left to right through [dst.(i)]. *)
 (* mppm: hot — per-quantum miss projection *)
-let misses_with_ways t ~ways =
-  if ways < 0.0 then invalid_arg "Sdc.misses_with_ways: negative ways";
-  if ways >= float_of_int t.assoc then misses t
-  else
-    let k = int_of_float (floor ways) in
-    let frac = ways -. float_of_int k in
-    let lo = sum_deeper t.counters t.assoc k 0.0
-    and hi = sum_deeper t.counters t.assoc (k + 1) 0.0 in
+let misses_with_ways_into t ~ways dst i =
+  let w = ways.(i) in
+  if w < 0.0 then invalid_arg "Sdc.misses_with_ways: negative ways";
+  if w >= float_of_int t.assoc then dst.(i) <- t.counters.(t.assoc)
+  else begin
+    let k = int_of_float (floor w) in
+    let frac = w -. float_of_int k in
+    sum_into t.counters k t.assoc dst i;
+    let lo = dst.(i) in
+    sum_into t.counters (k + 1) t.assoc dst i;
+    let hi = dst.(i) in
     (* lint: allow U1 the interpolation weight [ways -. floor ways] is a dimensionless fraction of one way *)
-    lo +. (frac *. (hi -. lo))
+    dst.(i) <- lo +. (frac *. (hi -. lo))
+  end
+
+let misses_with_ways t ~ways =
+  let cell = [| ways |] in
+  misses_with_ways_into t ~ways:cell cell 0;
+  cell.(0)
 
 (* Prefix sums over an interval sequence's access masses: groundwork for
    O(1) window queries over prefix-sum profiles.

@@ -25,7 +25,31 @@ val counter : t -> int -> float  (* mppm: unit _ -> ways -> accesses *)
     [i = assoc + 1]. *)
 
 val accesses : t -> float  (* mppm: unit accesses *)
-(** Total accesses: sum of all counters. *)
+(** Total accesses: sum of all counters, left to right. *)
+
+val counters : t -> float array
+(** The live counters C_1, ..., C_A, C_{>A}, not a copy: a write through
+    the array changes [t].  For hot loops that accumulate SDCs in place
+    without a float crossing a call (a float passed to or returned from a
+    function in another module is boxed); keep every counter
+    non-negative. *)
+
+(** {2 Queries into float array cells}
+
+    The [_into] forms store their answer in [dst.(i)] instead of returning
+    a float, so they allocate nothing.  Each equals its returning form bit
+    for bit. *)
+
+val accesses_into : t -> float array -> int -> unit
+(** [accesses_into t dst i] stores [accesses t] in [dst.(i)]. *)
+
+val misses_into : t -> float array -> int -> unit
+(** [misses_into t dst i] stores [misses t] in [dst.(i)]. *)
+
+val misses_with_ways_into : t -> ways:float array -> float array -> int -> unit
+(** [misses_with_ways_into t ~ways dst i] stores
+    [misses_with_ways t ~ways:ways.(i)] in [dst.(i)]; [ways] and [dst]
+    may be the same array. *)
 
 val hits : t -> float  (* mppm: unit accesses *)
 (** Accesses with depth <= associativity. *)

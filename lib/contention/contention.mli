@@ -44,7 +44,18 @@ type prediction = {
 val predict : model -> Mppm_cache.Sdc.t array -> prediction  (* mppm: unit _ -> _ -> prediction *)
 (** [predict model sdcs] runs the model over the co-scheduled programs'
     epoch SDCs.  All SDCs must share the same associativity.  A single
-    program, or an epoch with no accesses, yields zero extra misses. *)
+    program, or an epoch with no accesses, yields zero extra misses.
+    Allocates a {!make_prediction} and runs {!predict_into}. *)
+
+val make_prediction : int -> prediction  (* mppm: unit _ -> prediction *)
+(** [make_prediction n] is a zeroed prediction for [n] programs: storage
+    for {!predict_into}. *)
+
+val predict_into : model -> Mppm_cache.Sdc.t array -> prediction -> unit  (* mppm: unit _ -> _ -> _ -> _ *)
+(** [predict_into model sdcs p] overwrites every array of [p] with
+    [predict model sdcs], bit for bit, and allocates nothing.  Each array of [p] must have one cell
+    per program.  The model's per-quantum loop calls it on storage it
+    allocates once per run. *)
 
 val model_name : model -> string
 (** Short display name ("FOA", "SDC-competition", ...). *)

@@ -1,5 +1,6 @@
 module Profile = Mppm_profile.Profile
 module Contention = Mppm_contention.Contention
+module Sdc = Mppm_cache.Sdc
 module Invariant = Mppm_util.Invariant
 module Trace = Mppm_obs.Trace
 module Event = Mppm_obs.Event
@@ -53,14 +54,6 @@ type iteration_record = {
   slowdown_estimate : float array;
 }
 
-(* Mutable per-program model state. *)
-type state = {
-  input : program_input;
-  trace_length : float;
-  mutable r : float;  (* slowdown R_p *)
-  mutable ip : float;  (* instruction pointer I_p *)
-}
-
 let validate params inputs =
   if params.iteration_instructions <= 0 then
     invalid_arg "Model.predict: iteration_instructions <= 0";
@@ -80,44 +73,60 @@ let validate params inputs =
         invalid_arg "Model.predict: profiles at different LLC associativities")
     inputs
 
-(* Average LLC miss penalty over a window: cycles lost to LLC misses per
-   miss.  Falls back to the whole-trace average when the window has no
-   misses (the division in Fig. 2 needs a denominator). *)
-(* mppm: unit _ -> _ -> cycles/accesses *)
-let miss_penalty profile (w : Profile.window) =
-  if w.Profile.w_llc_misses > 0.0 then
-    w.Profile.w_memory_stall_cycles /. w.Profile.w_llc_misses
-  else
-    let total_misses =
-      Array.fold_left
-        (fun acc iv -> acc +. iv.Profile.llc_misses)
-        0.0 profile.Profile.intervals
-    in
-    if total_misses > 0.0 then
-      Array.fold_left
-        (fun acc iv -> acc +. iv.Profile.memory_stall_cycles)
-        0.0 profile.Profile.intervals
-      /. total_misses
-    else 0.0
+(* Whole-trace average LLC miss penalty: cycles lost to LLC misses per
+   miss.  The model prices a window that has no misses at this rate (the
+   division in Fig. 2 needs a denominator). *)
+(* mppm: unit _ -> cycles/accesses *)
+let fallback_penalty profile =
+  let intervals = profile.Profile.intervals in
+  let misses = ref 0.0 and stall = ref 0.0 in
+  for k = 0 to Array.length intervals - 1 do
+    misses := !misses +. intervals.(k).Profile.llc_misses
+  done;
+  if !misses > 0.0 then begin
+    for k = 0 to Array.length intervals - 1 do
+      stall := !stall +. intervals.(k).Profile.memory_stall_cycles
+    done;
+    !stall /. !misses
+  end
+  else 0.0
+
+(* M/D/1 queueing wait at channel utilization [rho], capped at 0.98. *)
+(* mppm: unit _ -> 1 -> cycles *)
+let md1_wait b rho =
+  let rho = Float.min rho 0.98 in
+  b.transfer_cycles *. rho /. (2.0 *. (1.0 -. rho))
+
+(* Programs [i..] have all executed [stop_trace_multiplier] traces. *)
+(* mppm: unit _ -> ip:insns -> trace_length:insns -> _ -> _ *)
+let rec stopped_from params ~ip ~trace_length i =
+  i >= Array.length ip
+  || (ip.(i) >= params.stop_trace_multiplier *. trace_length.(i)
+     && stopped_from params ~ip ~trace_length (i + 1))
 
 (* mppm: unit result *)
 (* mppm: hot — the per-quantum convergence loop *)
 let run ?(obs = Trace.null) params inputs ~record =
   validate params inputs;
-  let states =
-    Array.map
-      (fun input ->
-        {
-          input;
-          trace_length =
-            float_of_int (Profile.total_instructions input.profile);
-          r = 1.0;
-          ip = 0.0;
-        })
-      inputs
+  let n = Array.length inputs in
+  let profiles = Array.map (fun input -> input.profile) inputs in
+  let trace_length =
+    Array.map (fun p -> float_of_int (Profile.total_instructions p)) profiles
   in
-  let n = Array.length states in
+  let fallback = Array.map fallback_penalty profiles in
+  (* Per-program model state: slowdown R_p and instruction pointer I_p. *)
+  let r = Array.make n 1.0 and ip = Array.make n 0.0 in
   let l = float_of_int params.iteration_instructions in
+  (* Per-run scratch, so the per-quantum loop allocates nothing: each
+     quantum overwrites every cell it reads. *)
+  let budget = Array.make n l in
+  let cpi = Array.make n 0.0 and progress = Array.make n 0.0 in
+  let sums = Array.init n (fun _ -> Array.make Profile.sums_length 0.0) in
+  let sdcs = Array.map (fun p -> Sdc.create ~assoc:p.Profile.llc_assoc) profiles in
+  let contention = Contention.make_prediction n in
+  (* The bandwidth extension's conflict-miss queueing cycles; stays 0 when
+     no channel model is configured. *)
+  let queueing = Array.make n 0.0 and shared_total = [| 0.0 |] in
   let history = ref [] in
   let iterations = ref 0 in
   (* Virtual clock for trace timestamps: cumulative epoch cycles.  Only
@@ -137,33 +146,29 @@ let run ?(obs = Trace.null) params inputs ~record =
           ("programs",
            Event.List
              (Array.to_list
-                (Array.map (fun st -> Event.String st.input.label) states)));
+                (Array.map (fun input -> Event.String input.label) inputs)));
           ("iteration_instructions", Event.Int params.iteration_instructions);
           ("smoothing", Event.Float params.smoothing);
           ("stop_trace_multiplier", Event.Float params.stop_trace_multiplier);
           ("contention", Event.String (Contention.model_name params.contention));
         ]);
-  (* The stop predicate is hoisted out of [stop_reached] so the per-epoch
-     test allocates no closure: it is built once, before the loop. *)
-  let stop_pred st = st.ip >= params.stop_trace_multiplier *. st.trace_length in
-  let stop_reached () = Array.for_all stop_pred states in
-  (* Argmax scratch, likewise hoisted so each epoch reuses the two cells. *)
+  (* Argmax scratch, hoisted so each epoch reuses the two cells. *)
   let slowest = ref 0 in
   let best = ref 0.0 in
-  while not (stop_reached ()) do
+  while not (stopped_from params ~ip ~trace_length 0) do
     incr iterations;
     (* Step 1: find the epoch budget C set by the slowest program. *)
-    let window_l =
-      Array.map (* lint: allow P1 per-epoch window vector: n entries per quantum, each already a fresh Profile.window record *)
-        (fun st -> Profile.window st.input.profile ~start:st.ip ~count:l)
-        states
-    in
+    for i = 0 to n - 1 do
+      Profile.fill_window_cpi profiles.(i) ~start:ip ~count:budget i
+        ~sums:sums.(i);
+      cpi.(i) <- sums.(i).(Profile.sum_cycles) /. sums.(i).(Profile.sum_instructions)
+    done;
     (* Same value as a Float.max fold; additionally remembers which
        program set the budget (the first argmax). *)
     slowest := 0;
     best := 0.0;
     for i = 0 to n - 1 do
-      let projected = Profile.window_cpi window_l.(i) *. states.(i).r *. l in
+      let projected = cpi.(i) *. r.(i) *. l in
       if projected > !best then begin
         best := projected;
         slowest := i
@@ -171,91 +176,80 @@ let run ?(obs = Trace.null) params inputs ~record =
     done;
     let epoch_cycles = !best in
     (* Step 2: per-program progress within C cycles. *)
-    let progress =
-      Array.mapi (* lint: allow P1 per-epoch progress vector: n floats per quantum, read by the next two steps *)
-        (fun i st ->
-          let cpi = Profile.window_cpi window_l.(i) in
-          epoch_cycles /. (cpi *. st.r))
-        states
-    in
+    for i = 0 to n - 1 do
+      progress.(i) <- epoch_cycles /. (cpi.(i) *. r.(i))
+    done;
     (* Step 3: window statistics over each program's actual progress. *)
-    let windows =
-      Array.mapi (* lint: allow P1 per-epoch window vector: n entries per quantum, each already a fresh Profile.window record *)
-        (fun i st ->
-          Profile.window st.input.profile ~start:st.ip ~count:progress.(i))
-        states
-    in
+    for i = 0 to n - 1 do
+      Profile.fill_window profiles.(i) ~start:ip ~count:progress i
+        ~sums:sums.(i) sdcs.(i)
+    done;
     (* Step 4: contention model on the epoch SDCs. *)
-    (* lint: allow P1 per-epoch SDC vector: Contention.predict takes the mix's SDCs as one array *)
-    let sdcs = Array.map (fun w -> w.Profile.w_sdc) windows in
-    let contention = Contention.predict params.contention sdcs in
+    Contention.predict_into params.contention sdcs contention;
     (* Step 4b (extension): bandwidth queueing.  The M/D/1 wait at the
        mix's channel utilization, minus the program's own-alone wait. *)
-    let queueing_extra =
-      match params.bandwidth with
-      | None -> fun _ -> 0.0
-      | Some b ->
-          (* lint: allow P1 bandwidth-extension closures; built only when a channel model is configured *)
-          let wait rho =
-            let rho = Float.min rho 0.98 in
-            b.transfer_cycles *. rho /. (2.0 *. (1.0 -. rho))
+    (match params.bandwidth with
+    | None -> ()
+    | Some b ->
+        let shared = contention.Contention.shared_misses in
+        shared_total.(0) <- 0.0;
+        for i = 0 to n - 1 do
+          shared_total.(0) <- shared_total.(0) +. shared.(i)
+        done;
+        let rho_mix = shared_total.(0) *. b.transfer_cycles /. epoch_cycles in
+        for i = 0 to n - 1 do
+          let w = sums.(i) in
+          let alone_cycles =
+            Float.max 1.0
+              (w.(Profile.sum_cycles) /. w.(Profile.sum_instructions)
+              *. w.(Profile.sum_instructions))
           in
-          let total_shared =
-            Array.fold_left ( +. ) 0.0 contention.Contention.shared_misses
+          let rho_alone =
+            w.(Profile.sum_llc_misses) *. b.transfer_cycles /. alone_cycles
           in
-          let rho_mix = total_shared *. b.transfer_cycles /. epoch_cycles in
-          (* lint: allow P1 bandwidth-extension closure; see above *)
-          fun i ->
-            let w = windows.(i) in
-            let alone_cycles =
-              Float.max 1.0 (Profile.window_cpi w *. w.Profile.w_instructions)
-            in
-            let rho_alone =
-              w.Profile.w_llc_misses *. b.transfer_cycles /. alone_cycles
-            in
-            let delta = Float.max 0.0 (wait rho_mix -. wait rho_alone) in
-            b.exposed_fraction *. delta
-            *. contention.Contention.shared_misses.(i)
-    in
+          let delta = Float.max 0.0 (md1_wait b rho_mix -. md1_wait b rho_alone) in
+          queueing.(i) <- b.exposed_fraction *. delta *. shared.(i)
+        done);
     (* Step 5: price the conflict misses and update the slowdowns. *)
-    if observing then
-      Array.iteri (fun i st -> obs_r_before.(i) <- st.r) states;
-    Array.iteri (* lint: allow P1 per-epoch update closure over the epoch's windows and contention result, built once per quantum *)
-      (fun i st ->
-        let penalty = miss_penalty st.input.profile windows.(i) in
-        let miss_cycles =
-          (contention.Contention.extra_misses.(i) *. penalty)
-          +. queueing_extra i
-        in
-        if observing then begin
-          obs_penalty.(i) <- penalty;
-          obs_miss_cycles.(i) <- miss_cycles
-        end;
-        let current =
-          match params.update_rule with
-          | Paper_literal -> 1.0 +. (miss_cycles /. epoch_cycles)
-          | Consistent -> 1.0 +. (miss_cycles *. st.r /. epoch_cycles)
-        in
-        let previous = st.r in
-        st.r <-
-          (params.smoothing *. st.r) +. ((1.0 -. params.smoothing) *. current);
-        if Invariant.enabled () then begin
-          Invariant.checkf "model.slowdown_ge_1" (st.r >= 1.0) (fun () ->
-              Printf.sprintf "%s: R_p = %g < 1" st.input.label st.r);
-          Invariant.check "model.slowdown_finite" (Float.is_finite st.r);
-          (* The EMA is a convex combination of the previous estimate and
-             the current target, so it must stay between them. *)
-          let lo = Float.min previous current
-          and hi = Float.max previous current in
-          let eps = 1e-12 *. Float.max 1.0 hi in
-          Invariant.checkf "model.ema_bounded"
-            (st.r >= lo -. eps && st.r <= hi +. eps)
-            (fun () ->
-              Printf.sprintf "%s: R_p = %g outside [%g, %g]" st.input.label
-                st.r lo hi)
-        end;
-        st.ip <- st.ip +. progress.(i))
-      states;
+    if observing then Array.blit r 0 obs_r_before 0 n;
+    for i = 0 to n - 1 do
+      let w = sums.(i) in
+      let penalty =
+        if w.(Profile.sum_llc_misses) > 0.0 then
+          w.(Profile.sum_memory_stall_cycles) /. w.(Profile.sum_llc_misses)
+        else fallback.(i)
+      in
+      let miss_cycles =
+        (contention.Contention.extra_misses.(i) *. penalty) +. queueing.(i)
+      in
+      if observing then begin
+        obs_penalty.(i) <- penalty;
+        obs_miss_cycles.(i) <- miss_cycles
+      end;
+      let current =
+        match params.update_rule with
+        | Paper_literal -> 1.0 +. (miss_cycles /. epoch_cycles)
+        | Consistent -> 1.0 +. (miss_cycles *. r.(i) /. epoch_cycles)
+      in
+      let previous = r.(i) in
+      r.(i) <- (params.smoothing *. r.(i)) +. ((1.0 -. params.smoothing) *. current);
+      if Invariant.enabled () then begin
+        let label = inputs.(i).label and r_i = r.(i) in
+        Invariant.checkf "model.slowdown_ge_1" (r_i >= 1.0) (fun () ->
+            Printf.sprintf "%s: R_p = %g < 1" label r_i);
+        Invariant.check "model.slowdown_finite" (Float.is_finite r_i);
+        (* The EMA is a convex combination of the previous estimate and
+           the current target, so it must stay between them. *)
+        let lo = Float.min previous current
+        and hi = Float.max previous current in
+        let eps = 1e-12 *. Float.max 1.0 hi in
+        Invariant.checkf "model.ema_bounded"
+          (r_i >= lo -. eps && r_i <= hi +. eps)
+          (fun () ->
+            Printf.sprintf "%s: R_p = %g outside [%g, %g]" label r_i lo hi)
+      end;
+      ip.(i) <- ip.(i) +. progress.(i)
+    done;
     if Invariant.enabled () then
       Invariant.check "model.epoch_positive"
         (Float.is_finite epoch_cycles && epoch_cycles > 0.0);
@@ -270,22 +264,20 @@ let run ?(obs = Trace.null) params inputs ~record =
               ("slowest", Event.Int !slowest);
               ("budget_cycles", Event.Float epoch_cycles);
               ("progress", floats progress);
-              ("sdc_mass",
-               floats (Array.map Mppm_cache.Sdc.accesses sdcs));
-              ("extra_misses",
-               floats contention.Contention.extra_misses);
+              ("sdc_mass", floats (Array.map Sdc.accesses sdcs));
+              ("extra_misses", floats contention.Contention.extra_misses);
               ("miss_penalty", floats obs_penalty);
               ("penalty_cycles", floats obs_miss_cycles);
               ("r_before", floats obs_r_before);
-              ("r_after", floats (Array.map (fun st -> st.r) states));
+              ("r_after", floats r);
             ]);
       let max_delta = ref 0.0 and r_sum = ref 0.0 in
       Array.iteri
-        (fun i st ->
-          let d = Float.abs (st.r -. obs_r_before.(i)) in
+        (fun i r_i ->
+          let d = Float.abs (r_i -. obs_r_before.(i)) in
           if d > !max_delta then max_delta := d;
-          r_sum := !r_sum +. st.r)
-        states;
+          r_sum := !r_sum +. r_i)
+        r;
       let max_delta = !max_delta and mean_r = !r_sum /. float_of_int n in
       Trace.emit obs (fun () ->
           Event.make ~name:"model.convergence" ~time:(time +. epoch_cycles)
@@ -301,24 +293,24 @@ let run ?(obs = Trace.null) params inputs ~record =
       history :=
         {
           epoch_cycles;
-          progress;
+          progress = Array.copy progress;
           extra_misses = Array.copy contention.Contention.extra_misses;
-          slowdown_estimate = Array.map (fun st -> st.r) states;
+          slowdown_estimate = Array.copy r;
         }
         :: !history
   done;
   let programs =
-    Array.map
-      (fun st ->
-        let cpi_single = Profile.cpi st.input.profile in
+    Array.mapi
+      (fun i input ->
+        let cpi_single = Profile.cpi input.profile in
         {
-          name = st.input.label;
-          slowdown = st.r;
+          name = input.label;
+          slowdown = r.(i);
           cpi_single;
-          cpi_multi = cpi_single *. st.r;
-          instructions_modelled = st.ip;
+          cpi_multi = cpi_single *. r.(i);
+          instructions_modelled = ip.(i);
         })
-      states
+      inputs
   in
   let slowdowns = Array.map (fun p -> p.slowdown) programs in
   let result =

@@ -128,18 +128,28 @@ let stale_siblings t ~llc_config bench_index =
 let profile t ~llc_config bench_index =
   if bench_index < 0 || bench_index >= Suite.count then
     invalid_arg "Context.profile: bad benchmark index";
+  let recompute path =
+    let p = compute_profile t ~llc_config bench_index in
+    Profile.save p path;
+    p
+  in
   Single_flight.get t.profiles (llc_config, bench_index) (fun _ ->
       match cache_path t ~llc_config bench_index with
-      | Some path when Sys.file_exists path ->
-          Registry.incr "profile_cache.hits";
-          Profile.load path
+      | Some path when Sys.file_exists path -> (
+          match Profile.load path with
+          | p ->
+              Registry.incr "profile_cache.hits";
+              p
+          | exception Failure _ ->
+              (* A corrupt entry is a miss; the atomic save replaces it. *)
+              Registry.incr "profile_cache.misses";
+              Registry.incr "profile_cache.corrupt";
+              recompute path)
       | Some path ->
           Registry.incr "profile_cache.misses";
           Registry.add "profile_cache.stale"
             (float_of_int (stale_siblings t ~llc_config bench_index));
-          let p = compute_profile t ~llc_config bench_index in
-          Profile.save p path;
-          p
+          recompute path
       | None ->
           Registry.incr "profile_cache.misses";
           compute_profile t ~llc_config bench_index)

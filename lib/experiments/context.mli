@@ -50,9 +50,11 @@ val profile : t -> llc_config:int -> int -> Mppm_profile.Profile.t
     requesting the same profile trigger exactly one computation and share
     the result.  Counts every lookup into {!Mppm_obs.Registry} under
     [profile_cache.*]: [memo_hits] (served from memory), [hits] (loaded
-    from disk), [misses] (computed), and [stale] (cache-directory entries
+    from disk), [misses] (computed), [stale] (cache-directory entries
     for the requested benchmark/config whose fingerprint digest no longer
-    matches). *)
+    matches) and [corrupt] (a live entry {!Mppm_profile.Profile.load}
+    rejected: it counts as a miss, and the recomputed profile replaces
+    the file atomically). *)
 
 (** Classification of a profile-cache directory's contents. *)
 type cache_report = {

@@ -1,4 +1,5 @@
 module Sdc = Mppm_cache.Sdc
+module Invariant = Mppm_util.Invariant
 
 type interval = {
   instructions : int;
@@ -57,62 +58,96 @@ type window = {
   w_sdc : Sdc.t;
 }
 
-let window t ~start ~count =
+let sum_instructions = 0
+let sum_cycles = 1
+let sum_memory_stall_cycles = 2
+let sum_llc_accesses = 3
+let sum_llc_misses = 4
+
+(* The two cells after the five sums hold the walk's float cursors. *)
+let remaining_cell = 5
+let offset_cell = 6
+let sums_length = 7
+
+(* Walk intervals from the (wrapped) start position until [count.(i)]
+   instructions are consumed, taking linear fractions at the ends.  Every
+   sum starts at 0.0 and adds [field *. frac] per fragment, left to right;
+   [full = false] accumulates only instructions and cycles and leaves
+   [dst] alone. *)
+(* mppm: hot — per-quantum window accumulation *)
+let walk t ~start ~count i ~sums dst ~full =
+  let start = start.(i) and count = count.(i) in
   if count <= 0.0 then invalid_arg "Profile.window: non-positive count";
   if start < 0.0 then invalid_arg "Profile.window: negative start";
-  let trace_len = float_of_int (total_instructions t) in
-  let acc_sdc = Sdc.create ~assoc:t.llc_assoc in
-  (* lint: allow P1 window accumulator: one record per call, and the call returns a fresh window by design *)
-  let acc = ref { w_instructions = 0.0; w_cycles = 0.0;
-                  w_memory_stall_cycles = 0.0; w_llc_accesses = 0.0;
-                  w_llc_misses = 0.0; w_sdc = acc_sdc } in
-  let add_fraction iv frac = (* lint: allow P1 walk helper closing over the accumulator, built once per call *)
-    if frac > 0.0 then begin
-      let a = !acc in
-      Sdc.add_into ~dst:acc_sdc (Sdc.scale iv.sdc frac);
-      acc := (* lint: allow P1 P4 accumulator update, once per interval the window touches (a handful per call) *)
-        {
-          a with
-          w_instructions = a.w_instructions +. (float_of_int iv.instructions *. frac);
-          w_cycles = a.w_cycles +. (iv.cycles *. frac);
-          w_memory_stall_cycles =
-            a.w_memory_stall_cycles +. (iv.memory_stall_cycles *. frac);
-          w_llc_accesses = a.w_llc_accesses +. (iv.llc_accesses *. frac);
-          w_llc_misses = a.w_llc_misses +. (iv.llc_misses *. frac);
-        }
-    end
-  in
-  (* Walk intervals from the (wrapped) start position until [count]
-     instructions are consumed, taking linear fractions at the ends. *)
-  let pos = ref (Float.rem start trace_len) in (* lint: allow P1 walk cursors: refs allocated once per call, not per interval *)
-  let remaining = ref count in
-  (* Locate the interval containing !pos together with the offset into it. *)
-  let locate pos = (* lint: allow P1 locate closes over the profile, built once per call *)
-    let rec go i off =
-      let len = float_of_int t.intervals.(i).instructions in
-      if pos < off +. len || Int.equal i (Array.length t.intervals - 1) then
-        (* lint: allow P1 locate's (interval, offset) result, returned once per call *)
-        (i, pos -. off)
-      else go (i + 1) (off +. len)
-    in
-    go 0 0.0
-  in
-  let idx, offset = locate !pos in
-  (* lint: allow P1 walk cursors: refs allocated once per call, not per interval *)
-  let idx = ref idx and offset = ref offset in
-  while !remaining > 1e-9 do
-    let iv = t.intervals.(!idx) in
-    let len = float_of_int iv.instructions in
-    let available = len -. !offset in
-    let take = Float.min available !remaining in
-    add_fraction iv (take /. len);
-    remaining := !remaining -. take; (* lint: allow P4 cursor update, once per interval the window touches *)
-    pos := !pos +. take;
-    offset := 0.0;
-    idx := (!idx + 1) mod Array.length t.intervals
+  let intervals = t.intervals in
+  let n = Array.length intervals in
+  let pos = Float.rem start (float_of_int (total_instructions t)) in
+  (* The interval containing [pos], found with an exact running offset. *)
+  let idx = ref 0 and off = ref 0 in
+  while
+    !idx < n - 1
+    && not (pos < float_of_int (!off + intervals.(!idx).instructions))
+  do
+    off := !off + intervals.(!idx).instructions;
+    incr idx
   done;
-  (* lint: allow P1 the window record this function returns *)
-  { !acc with w_sdc = acc_sdc }
+  for c = sum_instructions to sum_llc_misses do
+    sums.(c) <- 0.0
+  done;
+  if full then
+    for j = 0 to Array.length dst - 1 do
+      dst.(j) <- 0.0
+    done;
+  sums.(offset_cell) <- pos -. float_of_int !off;
+  sums.(remaining_cell) <- count;
+  while sums.(remaining_cell) > 1e-9 do
+    let iv = intervals.(!idx) in
+    let len = float_of_int iv.instructions in
+    let take = Float.min (len -. sums.(offset_cell)) sums.(remaining_cell) in
+    let frac = take /. len in
+    if frac > 0.0 then begin
+      sums.(sum_instructions) <- sums.(sum_instructions) +. (len *. frac);
+      sums.(sum_cycles) <- sums.(sum_cycles) +. (iv.cycles *. frac);
+      if full then begin
+        sums.(sum_memory_stall_cycles) <-
+          sums.(sum_memory_stall_cycles) +. (iv.memory_stall_cycles *. frac);
+        sums.(sum_llc_accesses) <-
+          sums.(sum_llc_accesses) +. (iv.llc_accesses *. frac);
+        sums.(sum_llc_misses) <- sums.(sum_llc_misses) +. (iv.llc_misses *. frac);
+        let src = Sdc.counters iv.sdc in
+        for j = 0 to Array.length dst - 1 do
+          dst.(j) <- dst.(j) +. (src.(j) *. frac)
+        done
+      end
+    end;
+    sums.(remaining_cell) <- sums.(remaining_cell) -. take;
+    sums.(offset_cell) <- 0.0;
+    idx := (!idx + 1) mod n
+  done;
+  if Invariant.enabled () then
+    Invariant.check "profile.window_instructions"
+      (Float.abs (sums.(sum_instructions) -. count) <= 1e-9 +. (1e-12 *. count))
+
+let fill_window t ~start ~count i ~sums sdc =
+  if not (Int.equal (Sdc.assoc sdc) t.llc_assoc) then
+    invalid_arg "Profile.fill_window: SDC associativity mismatch";
+  walk t ~start ~count i ~sums (Sdc.counters sdc) ~full:true
+
+let fill_window_cpi t ~start ~count i ~sums =
+  walk t ~start ~count i ~sums [||] ~full:false
+
+let window t ~start ~count =
+  let sums = Array.make sums_length 0.0 in
+  let sdc = Sdc.create ~assoc:t.llc_assoc in
+  fill_window t ~start:[| start |] ~count:[| count |] 0 ~sums sdc;
+  {
+    w_instructions = sums.(sum_instructions);
+    w_cycles = sums.(sum_cycles);
+    w_memory_stall_cycles = sums.(sum_memory_stall_cycles);
+    w_llc_accesses = sums.(sum_llc_accesses);
+    w_llc_misses = sums.(sum_llc_misses);
+    w_sdc = sdc;
+  }
 
 let window_cpi w = w.w_cycles /. w.w_instructions
 
@@ -177,48 +212,54 @@ let load path =
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let line_no = ref 0 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg -> failwith (Printf.sprintf "Profile.load: %s:%d: %s" path !line_no msg))
+          fmt
+      in
       let next_line () =
         incr line_no;
-        try input_line ic
-        with End_of_file ->
-          failwith
-            (Printf.sprintf "Profile.load: %s: unexpected end of file at line %d"
-               path !line_no)
+        try input_line ic with End_of_file -> fail "unexpected end of file"
       in
+      let number what of_string s =
+        match of_string s with Some v -> v | None -> fail "bad %s %S" what s
+      in
+      let int = number "integer" int_of_string_opt
+      and float = number "number" float_of_string_opt in
       let field expected line =
         match String.index_opt line ' ' with
         | Some i when String.sub line 0 i = expected ->
             String.sub line (i + 1) (String.length line - i - 1)
-        | Some _ | None ->
-            failwith
-              (Printf.sprintf "Profile.load: %s:%d: expected '%s <value>'" path
-                 !line_no expected)
+        | Some _ | None -> fail "expected '%s <value>'" expected
       in
       let version = next_line () in
-      if version <> format_version then
-        failwith
-          (Printf.sprintf "Profile.load: %s: unsupported format %S" path version);
+      if version <> format_version then fail "unsupported format %S" version;
       let benchmark = field "benchmark" (next_line ()) in
-      let interval_instructions = int_of_string (field "interval" (next_line ())) in
-      let llc_assoc = int_of_string (field "assoc" (next_line ())) in
-      let n = int_of_string (field "intervals" (next_line ())) in
+      let interval_instructions = int (field "interval" (next_line ())) in
+      if interval_instructions <= 0 then
+        fail "non-positive interval length %d" interval_instructions;
+      let llc_assoc = int (field "assoc" (next_line ())) in
+      if llc_assoc <= 0 then fail "non-positive associativity %d" llc_assoc;
+      let n = int (field "intervals" (next_line ())) in
+      if n <= 0 then fail "non-positive interval count %d" n;
       let parse_interval line =
         match String.split_on_char ' ' line with
         | insns :: cycles :: stall :: acc :: miss :: counters
           when List.length counters = llc_assoc + 1 ->
+            let instructions = int insns in
+            if instructions <= 0 then fail "non-positive instruction count %d" instructions;
+            let counters = List.map float counters in
+            if List.exists (fun c -> not (c >= 0.0)) counters then
+              fail "negative or NaN SDC counter";
             {
-              instructions = int_of_string insns;
-              cycles = float_of_string cycles;
-              memory_stall_cycles = float_of_string stall;
-              llc_accesses = float_of_string acc;
-              llc_misses = float_of_string miss;
-              sdc =
-                Sdc.of_list ~assoc:llc_assoc (List.map float_of_string counters);
+              instructions;
+              cycles = float cycles;
+              memory_stall_cycles = float stall;
+              llc_accesses = float acc;
+              llc_misses = float miss;
+              sdc = Sdc.of_list ~assoc:llc_assoc counters;
             }
-        | _ ->
-            failwith
-              (Printf.sprintf "Profile.load: %s:%d: malformed interval" path
-                 !line_no)
+        | _ -> fail "malformed interval"
       in
       let intervals = Array.init n (fun _ -> parse_interval (next_line ())) in
       make ~benchmark ~interval_instructions ~llc_assoc intervals)

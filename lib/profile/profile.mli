@@ -70,7 +70,53 @@ val window : t -> start:float -> count:float -> window
 (** [window t ~start ~count] sums interval statistics over the window,
     scaling the partial intervals at each end linearly (accesses are
     assumed uniform within one interval).  [count] must be positive and
-    [start] non-negative. *)
+    [start] non-negative.  Allocates the window, then {!fill_window}s it. *)
+
+(** {2 Windows into caller-owned storage}
+
+    A float passed to or returned from a function in another module is
+    boxed, so the model's per-quantum windows go through arrays the caller
+    allocates once: the request is read from float array cells, the five
+    sums are written to a float array of {!sums_length} cells, and the SDC
+    to a caller-owned {!Mppm_cache.Sdc.t}.  A fill allocates nothing and
+    performs the same floating-point operations, in the same order, as
+    {!window}. *)
+
+val sum_instructions : int
+(** Cell of a sums array holding [w_instructions]. *)
+
+val sum_cycles : int
+(** Cell holding [w_cycles]. *)
+
+val sum_memory_stall_cycles : int
+(** Cell holding [w_memory_stall_cycles]. *)
+
+val sum_llc_accesses : int
+(** Cell holding [w_llc_accesses]. *)
+
+val sum_llc_misses : int
+(** Cell holding [w_llc_misses]. *)
+
+val sums_length : int
+(** Length of a sums array: the five sums, then two cells the walk uses
+    as its cursors. *)
+
+val fill_window :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sums:_ -> _ -> _ *)
+  t ->
+  start:float array ->
+  count:float array ->
+  int ->
+  sums:float array ->
+  Mppm_cache.Sdc.t ->
+  unit
+(** [fill_window t ~start ~count i ~sums sdc] writes the window
+    [window t ~start:start.(i) ~count:count.(i)] into [sums] and [sdc],
+    bit for bit.  [sdc] must have the profile's associativity. *)
+
+val fill_window_cpi :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sums:_ -> _ *)
+  t -> start:float array -> count:float array -> int -> sums:float array -> unit
+(** Like {!fill_window}, but sums only instructions and cycles (the two
+    cells a window CPI needs); the other sums are left at 0. *)
 
 val window_cpi : window -> float  (* mppm: unit cycles/insns *)
 (** [w_cycles / w_instructions]. *)
@@ -96,9 +142,10 @@ val save : t -> string -> unit  (* mppm: unit _ *)
     an interrupted run never sees a truncated file. *)
 
 val load : string -> t  (* mppm: unit profile *)
-(** [load path] reads a profile written by {!save}.  Raises [Failure] with
-    a line diagnostic on malformed input or an unsupported format
-    version. *)
+(** [load path] reads a profile written by {!save}.  Every malformed
+    input — a truncated file, an unsupported format version, a field that
+    is not a number, a negative SDC counter, a shape {!make} rejects —
+    raises [Failure "Profile.load: <path>:<line>: <what>"]. *)
 
 val pp_summary : Format.formatter -> t -> unit  (* mppm: unit _ *)
 (** One-line whole-trace summary: CPI, memory CPI, MPKI, intervals. *)

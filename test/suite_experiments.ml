@@ -58,6 +58,47 @@ let test_context_disk_cache_roundtrip () =
   Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
   Sys.rmdir dir
 
+(* A cache entry Profile.load rejects is a miss: the profile is recomputed,
+   the file rewritten with the original bytes, and profile_cache.corrupt
+   counted. *)
+let test_context_corrupt_cache_entry () =
+  let dir = Filename.temp_file "mppm-cache" "" in
+  Sys.remove dir;
+  ignore (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:1 3);
+  let path =
+    match Sys.readdir dir with
+    | [| f |] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one cache file, found %d" (Array.length fs)
+  in
+  let bytes () = In_channel.with_open_bin path In_channel.input_all in
+  let good = bytes () in
+  let edit_line k f s =
+    String.split_on_char '\n' s
+    |> List.mapi (fun i l -> if Int.equal i k then f l else l)
+    |> String.concat "\n"
+  in
+  let negate_last_field l =
+    match List.rev (String.split_on_char ' ' l) with
+    | _ :: rest -> String.concat " " (List.rev ("-1" :: rest))
+    | [] -> l
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (corrupt good));
+      let before = Mppm_obs.Registry.get "profile_cache.corrupt" in
+      let p = Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:1 3 in
+      check_close 0.0 (what ^ ": counted") 1.0
+        (Mppm_obs.Registry.get "profile_cache.corrupt" -. before);
+      Alcotest.(check string) (what ^ ": benchmark") Mppm_trace.Suite.names.(3) p.Profile.benchmark;
+      Alcotest.(check string) (what ^ ": file rewritten") good (bytes ()))
+    [
+      ("truncated", fun s -> String.sub s 0 (String.length s / 2));
+      ("non-numeric", edit_line 2 (fun _ -> "interval ten"));
+      ("negative counter", edit_line 5 negate_last_field);
+    ];
+  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Sys.rmdir dir
+
 let test_context_rng_purposes () =
   let ctx = make_ctx () in
   let a = Mppm_util.Rng.int (Context.rng ctx "alpha") 1_000_000 in
@@ -238,6 +279,8 @@ let tests =
       [
         Alcotest.test_case "profile memoized" `Quick test_context_profile_memoized;
         Alcotest.test_case "disk cache roundtrip" `Quick test_context_disk_cache_roundtrip;
+        Alcotest.test_case "corrupt cache entry recomputed" `Quick
+          test_context_corrupt_cache_entry;
         Alcotest.test_case "rng purposes" `Quick test_context_rng_purposes;
         Alcotest.test_case "measured view" `Quick test_context_measured_view;
         Alcotest.test_case "predicted view" `Quick test_context_predict_view;

@@ -183,6 +183,46 @@ let test_load_rejects_garbage () =
       Alcotest.(check bool) "bad header fails" true
         (try ignore (Profile.load path); false with Failure _ -> true))
 
+(* A truncated file, a non-numeric field and a negative counter each fail
+   with a located [Profile.load: <path>:<line>:] message. *)
+let test_load_corrupt_is_located () =
+  let path = Filename.temp_file "mppm-test" ".prof" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Profile.save (sample_profile ()) path;
+      let lines =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> not (String.equal l ""))
+      in
+      let write ls =
+        Out_channel.with_open_text path (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) ls)
+      in
+      let replace_field line k v =
+        String.split_on_char ' ' line
+        |> List.mapi (fun i f -> if Int.equal i k then v else f)
+        |> String.concat " "
+      in
+      let last = List.length lines - 1 in
+      let edit at f = List.mapi (fun i l -> if Int.equal i at then f l else l) lines in
+      List.iter
+        (fun (what, contents, line) ->
+          write contents;
+          let prefix = Printf.sprintf "Profile.load: %s:%d: " path line in
+          match Profile.load path with
+          | _ -> Alcotest.failf "%s: loaded" what
+          | exception Failure msg ->
+              if not (String.starts_with ~prefix msg) then
+                Alcotest.failf "%s: %S lacks %S" what msg prefix)
+        [
+          ("truncated", List.filteri (fun i _ -> i < last) lines, last + 1);
+          ("non-numeric cycles", edit 6 (fun l -> replace_field l 1 "1.5x"), 7);
+          ("non-numeric interval", edit 2 (fun _ -> "interval ten"), 3);
+          ("negative counter", edit last (fun l -> replace_field l 6 "-2"), last + 1);
+        ])
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -217,6 +257,7 @@ let tests =
         Alcotest.test_case "reduce associativity" `Quick test_reduce_associativity;
         Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
         Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+        Alcotest.test_case "load locates corruption" `Quick test_load_corrupt_is_located;
       ] );
     ("profile.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -118,7 +118,8 @@ let all =
       id = "P4";
       summary =
         "Boxed-float ref accumulation in a hot loop; accumulate through \
-         a float array cell or an unboxed accumulator argument.";
+         a float array cell (a float accumulator argument or return value \
+         is boxed at every call).";
     };
     {
       id = "U1";

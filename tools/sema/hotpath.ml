@@ -194,8 +194,8 @@ let hint = function
       "hashtable traffic is banned on the hot path — use an array keyed \
        by a dense index"
   | "P4" ->
-      "accumulate through a float array cell or an unboxed accumulator \
-       argument"
+      "accumulate through a float array cell; a float accumulator \
+       argument or return value is boxed at every call"
   | _ -> ""
 
 let check env facts_list =
