@@ -38,11 +38,12 @@ let section title =
 let std = Format.std_formatter
 
 (* The wall-clock profiler behind phase spans, the pool's task metrics
-   and the timing report.  The clock stays in bench/ (and tools/): lib/
-   is wall-clock-free by lint rule D1, so [Mppm_obs.Prof] takes the
-   clock as an argument and this harness injects [Unix.gettimeofday].
-   Profiling never changes results — everything the model computes stays
-   bit-for-bit deterministic (asserted elsewhere). *)
+   and the --trace-phases timeline.  The clock stays in bench/ (and
+   tools/): lib/ is wall-clock-free by lint rule D1, so [Mppm_obs.Prof]
+   takes the clock as an argument and this harness injects
+   [Unix.gettimeofday].  Profiling never changes results — everything
+   the model computes stays bit-for-bit deterministic (asserted
+   elsewhere). *)
 module Prof = Mppm_obs.Prof
 module Obs_event = Mppm_obs.Event
 module Render = Mppm_obs.Render
@@ -54,41 +55,6 @@ let phase name f =
   let result = Prof.time prof name f in
   Printf.printf "[%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t0);
   result
-
-(* The current commit, for the bench report (timings are only comparable
-   when the reader knows what code produced them). *)
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> None
-  | ic ->
-      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-      (match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> (match line with Some "" -> None | l -> l)
-      | _ | (exception _) -> None)
-
-(* The per-phase wall-time report (schema mppm-bench/2): one JSON object
-   per run, so CI can archive BENCH_model.json and tools/benchdiff.exe
-   can compare harness cost across commits. *)
-let write_bench_json ~path ~trace ~mixes ~seed ~jobs ~paper_scale ~only ~total =
-  let report =
-    Mppm_obs.Bench_report.of_prof ?git_rev:(git_rev ())
-      ~params:
-        Mppm_obs.Bench_report.
-          [
-            ("trace", Int trace);
-            ("mixes", Int mixes);
-            ("seed", Int seed);
-            ("jobs", Int jobs);
-            ("paper", Bool paper_scale);
-            ("only", Strings only);
-          ]
-      ~total prof
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Mppm_obs.Bench_report.to_json report));
-  Printf.printf "phase timings written to %s\n%!" path
 
 (* --trace-phases: the run's wall-clock timeline as a Chrome trace_event
    file — phase spans on the top lane, every pool task on the lane of
@@ -111,8 +77,7 @@ let write_phase_trace ~path prof =
     List.map
       (fun (s : Prof.span) ->
         Obs_event.make ~name:s.Prof.sp_name ~time:(us s.Prof.sp_start)
-          ~dur:(s.Prof.sp_dur *. 1e6)
-          [ ("alloc_bytes", Obs_event.Float s.Prof.sp_alloc_bytes) ])
+          ~dur:(s.Prof.sp_dur *. 1e6) [])
       spans
     @ List.map
         (fun (tk : Prof.task) ->
@@ -784,8 +749,7 @@ let all_sections =
     "cophase"; "simpoint"; "micro";
   ]
 
-let run trace mixes seed cache_dir only paper_scale csv jobs bench_json
-    trace_phases =
+let run trace mixes seed cache_dir only paper_scale csv jobs trace_phases =
   (match List.filter (fun s -> not (List.mem s all_sections)) only with
   | [] -> ()
   | unknown ->
@@ -794,7 +758,6 @@ let run trace mixes seed cache_dir only paper_scale csv jobs bench_json
            (String.concat ", " unknown)
            (String.concat ", " all_sections)));
   csv_dir := csv;
-  let t_start = Unix.gettimeofday () in
   let scale = Scale.of_trace trace in
   let ctx = Context.create ~seed ~cache_dir scale in
   let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
@@ -836,11 +799,6 @@ let run trace mixes seed cache_dir only paper_scale csv jobs bench_json
   if wants "micro" then timed "micro" (fun () -> run_micro ctx);
   if Option.is_some (Prof.pool_stats prof) then
     Format.printf "@.%a@." Prof.pp_pool prof;
-  (match bench_json with
-  | None -> ()
-  | Some path ->
-      write_bench_json ~path ~trace ~mixes ~seed ~jobs ~paper_scale ~only
-        ~total:(Unix.gettimeofday () -. t_start));
   (match trace_phases with
   | None -> ()
   | Some path -> write_phase_trace ~path prof);
@@ -894,21 +852,6 @@ let jobs =
            Domain.recommended_domain_count).  Results are bit-for-bit \
            identical for any value.")
 
-let bench_json =
-  Arg.(
-    value
-    & opt (some string) (Some "BENCH_model.json")
-    & info [ "bench-json" ]
-        ~doc:
-          "Write per-phase wall-time timings as JSON to $(docv) (CI \
-           archives it).  Pass an empty value via --no-bench-json to skip."
-        ~docv:"FILE")
-
-let no_bench_json =
-  Arg.(
-    value & flag
-    & info [ "no-bench-json" ] ~doc:"Do not write the phase-timing JSON file.")
-
 let trace_phases =
   Arg.(
     value
@@ -925,14 +868,8 @@ let cmd =
   Cmd.v
     (Cmd.info "mppm-bench" ~doc)
     Term.(
-      const
-        (fun trace mixes seed cache_dir only paper_scale csv jobs bench_json
-             no_bench_json trace_phases ->
-          run trace mixes seed cache_dir only paper_scale csv jobs
-            (if no_bench_json then None else bench_json)
-            trace_phases)
-      $ trace $ mixes $ seed $ cache_dir $ only $ paper_scale $ csv $ jobs
-      $ bench_json $ no_bench_json $ trace_phases)
+      const run $ trace $ mixes $ seed $ cache_dir $ only $ paper_scale $ csv
+      $ jobs $ trace_phases)
 
 let () =
   try exit (Cmd.eval ~catch:false cmd)

@@ -133,6 +133,11 @@ let compute ctx work =
 
 (* ---- the serve loop -------------------------------------------------- *)
 
+(* Set by SIGTERM/SIGINT: the loop finishes the batch in hand and
+   returns, so [run]'s finaliser removes the unix socket.  A signal
+   handler may run on any domain, hence the atomic. *)
+let stop_requested = Atomic.make false
+
 let serve ctx pool listen_fd =
   let running = ref true in
   let conns = ref [] in
@@ -157,12 +162,14 @@ let serve ctx pool listen_fd =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         drop conn
   in
-  while !running do
+  while !running && not (Atomic.get stop_requested) do
     let watched =
       (if List.length !conns < max_clients then [ listen_fd ] else [])
       @ List.map (fun c -> c.fd) !conns
     in
-    match Unix.select watched [] [] (-1.0) with
+    (* The timeout bounds how long a signal that lands between the loop
+       test and the select can go unnoticed. *)
+    match Unix.select watched [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
         if List.mem listen_fd readable then accept_new ();
@@ -238,6 +245,11 @@ let run length seed cache_dir listen jobs warm_configs =
     (if List.length warm_configs = 1 then "" else "s")
     (String.concat "," (List.map string_of_int warm_configs))
     (Unix.gettimeofday () -. t0);
+  List.iter
+    (fun signal ->
+      Sys.set_signal signal
+        (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true)))
+    [ Sys.sigterm; Sys.sigint ];
   let listen_fd = listen_socket endpoint in
   Format.printf "mppmd: listening on %s (%d worker domain%s)@.%!"
     (Wire.endpoint_to_string endpoint)

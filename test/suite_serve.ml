@@ -548,6 +548,27 @@ let test_daemon_end_to_end () =
                (request_daemon daemon
                   (Wire.Predict { names = mix_a; llc_config = 1 }))))
 
+(* SIGTERM ends the daemon cleanly: exit status 0, the "served" line
+   printed, and the unix socket removed by its finaliser. *)
+let test_daemon_sigterm () =
+  match built_exe "bin/mppmd.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some mppmd ->
+      let cache =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "mppmd-test-cache-%d" (Unix.getpid ()))
+      in
+      let daemon = start_daemon mppmd ~jobs:2 ~cache ~idx:2 in
+      Unix.kill daemon.pid Sys.sigterm;
+      let _, status = Unix.waitpid [] daemon.pid in
+      let log = read_file daemon.log in
+      Sys.remove daemon.log;
+      Alcotest.(check bool) ("exit status 0; log: " ^ log) true
+        (status = Unix.WEXITED 0);
+      Alcotest.(check bool) "socket removed" false (Sys.file_exists daemon.sock);
+      Alcotest.(check bool) "served line printed" true (contains log "served")
+
 let tests =
   [
     ( "serve.wire",
@@ -570,5 +591,7 @@ let tests =
       [
         Alcotest.test_case "end to end vs one-shot CLI" `Slow
           test_daemon_end_to_end;
+        Alcotest.test_case "SIGTERM removes the socket" `Slow
+          test_daemon_sigterm;
       ] );
   ]

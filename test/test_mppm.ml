@@ -4,4 +4,4 @@ let () =
    @ Suite_simcore.tests @ Suite_multicore.tests @ Suite_profile.tests
    @ Suite_contention.tests @ Suite_window.tests @ Suite_model.tests @ Suite_workload.tests @ Suite_experiments.tests @ Suite_extensions.tests @ Suite_simpoint.tests
    @ Suite_lint.tests @ Suite_sema.tests @ Suite_obs.tests
-   @ Suite_pool.tests @ Suite_bench_report.tests @ Suite_serve.tests)
+   @ Suite_pool.tests @ Suite_serve.tests)

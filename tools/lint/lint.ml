@@ -9,7 +9,7 @@
 
    Usage: lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]...
                    [--rules R1,R2] [--fix] [--cache FILE] [--verbose]
-                   [--report hot|units] [--bench FILE] *)
+                   [--report hot|units] *)
 
 module Diag = Mppm_lint.Diag
 module Sarif = Mppm_lint.Sarif
@@ -20,25 +20,13 @@ type format = Text | Json | Sarif
 
 let usage =
   "lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]... \
-   [--rules R1,R2] [--fix] [--cache FILE] [--verbose] [--report hot|units] \
-   [--bench FILE]"
-
-(* Human-readable byte counts for the Gc cross-reference table. *)
-let pp_bytes b =
-  if b >= 1e9 then Printf.sprintf "%.2f GB" (b /. 1e9)
-  else if b >= 1e6 then Printf.sprintf "%.2f MB" (b /. 1e6)
-  else if b >= 1e3 then Printf.sprintf "%.2f kB" (b /. 1e3)
-  else Printf.sprintf "%.0f B" b
+   [--rules R1,R2] [--fix] [--cache FILE] [--verbose] [--report hot|units]"
 
 (* --report hot: the ranked hot-path inventory.  Findings stay with the
    normal lint run; this mode is the work-list view — every function the
    hotness propagation reached, its shortest chain back to a
-   (* mppm: hot *) root, and its P1-P4 sites (open or allow-suppressed).
-   When a bench report with per-phase Gc deltas is available
-   (BENCH_model.json by default, --bench to point elsewhere), its
-   allocation totals are appended so the static inventory can be read
-   against the measured churn. *)
-let report_hot ~root ~bench (report : Mppm_sema.Sema.report) =
+   (* mppm: hot *) root, and its P1-P4 sites (open or allow-suppressed). *)
+let report_hot (report : Mppm_sema.Sema.report) =
   let hot = report.Mppm_sema.Sema.hot in
   let roots = List.filter (fun e -> e.Mppm_sema.Hotpath.h_root) hot in
   let sites = List.concat_map (fun e -> e.Mppm_sema.Hotpath.h_sites) hot in
@@ -78,45 +66,7 @@ let report_hot ~root ~bench (report : Mppm_sema.Sema.report) =
       (List.length clean)
       (if List.length clean = 1 then "" else "s")
       (String.concat ", "
-         (List.map (fun e -> e.Mppm_sema.Hotpath.h_label) clean));
-  let bench_path =
-    if bench <> "" then Some bench
-    else
-      let candidate name =
-        let p = Filename.concat root name in
-        if Sys.file_exists p then Some p else None
-      in
-      match candidate "BENCH_model.json" with
-      | Some p -> Some p
-      | None -> candidate "BENCH_seed.json"
-  in
-  match bench_path with
-  | None -> ()
-  | Some path -> (
-      let text =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> Some (really_input_string ic (in_channel_length ic)))
-        with Sys_error _ -> None
-      in
-      match text with
-      | None -> Printf.printf "\n(bench report %s is unreadable)\n" path
-      | Some text -> (
-          match Mppm_obs.Bench_report.of_json text with
-          | Error msg -> Printf.printf "\n(bench report %s: %s)\n" path msg
-          | Ok bench ->
-              Printf.printf "\nGc allocation context (%s):\n" path;
-              List.iter
-                (fun (ph : Mppm_obs.Bench_report.phase) ->
-                  match ph.Mppm_obs.Bench_report.ph_alloc_bytes with
-                  | None -> ()
-                  | Some b ->
-                      Printf.printf "  %-28s %10s allocated in %.1fs\n"
-                        ph.Mppm_obs.Bench_report.ph_name (pp_bytes b)
-                        ph.Mppm_obs.Bench_report.ph_seconds)
-                bench.Mppm_obs.Bench_report.r_phases))
+         (List.map (fun e -> e.Mppm_sema.Hotpath.h_label) clean))
 
 (* --report units: the annotation coverage map.  One row per lib/
    module — public .mli values that are annotated, inferred or opaque —
@@ -238,7 +188,6 @@ let () =
   let cache_file = ref "" in
   let verbose = ref false in
   let report_mode = ref "" in
-  let bench = ref "" in
   let add_rule r =
     if not (List.mem r Mppm_lint.Rule_info.all_ids) then begin
       Printf.eprintf "lint: unknown rule %s (known: %s)\n" r
@@ -290,11 +239,6 @@ let () =
             report_mode := s),
         "hot|units  print the ranked hot-path inventory or the unit \
          annotation coverage map instead of findings" );
-      ( "--bench",
-        Arg.Set_string bench,
-        "FILE  bench report whose Gc deltas annotate --report hot \
-         (default: BENCH_model.json, then BENCH_seed.json, under --root)"
-      );
     ]
   in
   Arg.parse spec
@@ -352,7 +296,7 @@ let () =
           analyze ()
   in
   if !report_mode = "hot" then begin
-    report_hot ~root:!root ~bench:!bench report;
+    report_hot report;
     exit 0
   end;
   if !report_mode = "units" then exit (if report_units report then 0 else 1);
