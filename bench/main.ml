@@ -15,7 +15,6 @@
      bandwidth         shared memory channel vs the M/D/1 queueing term
      cophase           the co-phase matrix baseline (Sec. 7)
      simpoint          SimPoint-style profile quantization
-     micro             Bechamel micro-benchmarks (one per table/figure kernel)
 
    The default sizes finish in roughly 30-40 minutes on a laptop-class
    machine; --paper uses the paper's population sizes (hours). *)
@@ -301,7 +300,7 @@ let run_fig9 (four_core : Accuracy.run) =
 
 let run_speed ctx =
   section "Sec. 4.3: speed";
-  Speed.pp std (Speed.measure ctx ())
+  Speed.pp std (Speed.measure ctx ~clock:Unix.gettimeofday ())
 
 (* Ablations over the design choices DESIGN.md calls out. *)
 let run_ablation ctx ~pool ~mixes =
@@ -640,105 +639,6 @@ let run_cophase ctx ~mixes:_ =
     mix_names
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per table/figure              *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests ctx =
-  let open Bechamel in
-  let hierarchy = Context.hierarchy ctx ~llc_config:1 in
-  let profiles = Context.all_profiles ctx ~llc_config:1 in
-  let params = Context.model_params ctx in
-  let mix = Mix.of_names [| "gamess"; "gamess"; "hmmer"; "soplex" |] in
-  let mix_profiles = Array.map (fun i -> profiles.(i)) (Mix.indices mix) in
-  let sdcs =
-    Array.map
-      (fun p -> (Profile.window p ~start:0.0 ~count:100_000.0).Profile.w_sdc)
-      mix_profiles
-  in
-  let cache =
-    Mppm_cache.Cache.create hierarchy.Mppm_cache.Hierarchy.llc.geometry
-  in
-  let cache_rng = Mppm_util.Rng.create ~seed:7 in
-  [
-    (* Table 1/2 kernel: the simulated machine's innermost operation. *)
-    Test.make ~name:"table1-llc-access"
-      (Staged.stage (fun () ->
-           ignore
-             (Mppm_cache.Cache.access cache
-                (Mppm_util.Rng.int cache_rng (1 lsl 20) * 64))));
-    (* Fig. 3 kernel: one MPPM prediction (the unit the variability curve
-       is built from). *)
-    Test.make ~name:"fig3-mppm-predict"
-      (Staged.stage (fun () ->
-           ignore (Model.predict_profiles params mix_profiles)));
-    (* Fig. 4/5 kernel: the profile-window aggregation MPPM performs per
-       iteration per program. *)
-    Test.make ~name:"fig4-profile-window"
-      (Staged.stage (fun () ->
-           ignore
-             (Profile.window profiles.(0) ~start:123_456.0 ~count:400_000.0)));
-    (* Fig. 6 kernel: metric computation from per-program slowdowns. *)
-    Test.make ~name:"fig6-metrics"
-      (Staged.stage (fun () ->
-           ignore
-             (Metrics.stp_of_slowdowns [| 1.1; 2.2; 1.0; 1.3 |]
-             +. Metrics.antt_of_slowdowns [| 1.1; 2.2; 1.0; 1.3 |])));
-    (* Fig. 7/8 kernel: the FOA contention model. *)
-    Test.make ~name:"fig7-contention-foa"
-      (Staged.stage (fun () -> ignore (Contention.predict Contention.Foa sdcs)));
-    (* Fig. 9 kernel: Spearman rank correlation. *)
-    Test.make ~name:"fig9-spearman"
-      (Staged.stage
-         (let a = Array.init 150 (fun i -> float_of_int (i * 7919 mod 150)) in
-          let b =
-            Array.init 150 (fun i -> float_of_int (i * 104729 mod 150))
-          in
-          fun () -> ignore (Mppm_util.Rank.spearman a b)));
-    (* Speed-section kernel: 10K instructions of single-core simulation. *)
-    Test.make ~name:"speed-single-core-10k"
-      (Staged.stage
-         (let cfg = Mppm_simcore.Single_core.config hierarchy in
-          let bench = Mppm_trace.Suite.find "soplex" in
-          fun () ->
-            ignore
-              (Mppm_simcore.Single_core.run cfg ~benchmark:bench ~seed:11
-                 ~instructions:10_000)));
-  ]
-
-let run_micro ctx =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let tests = Test.make_grouped ~name:"mppm" ~fmt:"%s %s" (micro_tests ctx) in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun _instance per_test ->
-      Hashtbl.iter
-        (fun name ols ->
-          let estimate =
-            match Analyze.OLS.estimates ols with
-            | Some (e :: _) -> e
-            | Some [] | None -> nan
-          in
-          rows := (name, estimate) :: !rows)
-        per_test)
-    merged;
-  List.sort compare !rows
-  |> List.iter (fun (name, ns) ->
-         Printf.printf "%-32s %12.1f ns/run\n" name ns)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -746,7 +646,7 @@ let all_sections =
   [
     "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
     "fig9"; "speed"; "ablation"; "derivation"; "partition"; "bandwidth";
-    "cophase"; "simpoint"; "micro";
+    "cophase"; "simpoint";
   ]
 
 let run trace mixes seed cache_dir only paper_scale csv jobs trace_phases =
@@ -796,7 +696,6 @@ let run trace mixes seed cache_dir only paper_scale csv jobs trace_phases =
     timed "bandwidth" (fun () -> run_bandwidth ctx ~pool ~mixes);
   if wants "cophase" then timed "cophase" (fun () -> run_cophase ctx ~mixes);
   if wants "simpoint" then timed "simpoint" (fun () -> run_simpoint ctx ~mixes);
-  if wants "micro" then timed "micro" (fun () -> run_micro ctx);
   if Option.is_some (Prof.pool_stats prof) then
     Format.printf "@.%a@." Prof.pp_pool prof;
   (match trace_phases with

@@ -97,28 +97,9 @@ let jobs_term =
 (* ---- trace output -------------------------------------------------- *)
 
 module Obs_event = Mppm_obs.Event
-module Obs_sink = Mppm_obs.Sink
 module Obs_trace = Mppm_obs.Trace
 module Render = Mppm_obs.Render
 module Registry = Mppm_obs.Registry
-
-(* A sink that streams events to [path] as they are emitted.  JSONL is one
-   event per line; Chrome trace JSON is one array usable directly in
-   chrome://tracing / Perfetto.  The byte format (framing included) comes
-   from Mppm_obs.Render; this file only owns the channel. *)
-let file_sink path format =
-  let oc = open_out path in
-  let r =
-    match format with
-    | `Jsonl -> Render.jsonl ()
-    | `Chrome -> Render.chrome ()
-  in
-  output_string oc (Render.header r);
-  Obs_sink.make
-    ~close:(fun () ->
-      output_string oc (Render.finish r);
-      close_out oc)
-    (fun ev -> output_string oc (Render.step r ev))
 
 let trace_term =
   let file =
@@ -138,10 +119,12 @@ let trace_term =
   Term.(const (fun file format -> (file, format)) $ file $ format)
 
 (* Evaluate [f ~obs mix] for every mix on a domain pool.  Each task
-   buffers its trace events in a per-mix memory sink; after the batch the
-   buffers are replayed into the --trace file in mix order, so the file
-   is byte-identical to a sequential run's regardless of --jobs.  A
-   single mix skips the extra domains entirely. *)
+   collects its trace events in a per-mix buffer; after the batch the
+   buffers are concatenated in mix order and rendered to the --trace file
+   in one write (JSONL is one event per line; Chrome trace JSON is one
+   array usable directly in chrome://tracing / Perfetto), so the file is
+   byte-identical to a sequential run's regardless of --jobs.  A single
+   mix skips the extra domains entirely. *)
 let eval_mixes trace jobs mixes f =
   let mixes = Array.of_list mixes in
   let jobs =
@@ -155,13 +138,8 @@ let eval_mixes trace jobs mixes f =
     Pool.map pool
       (fun mix ->
         if tracing then begin
-          let sink, events = Obs_sink.memory () in
-          let obs = Obs_trace.of_sink sink in
-          let r =
-            Fun.protect
-              ~finally:(fun () -> Obs_trace.close obs)
-              (fun () -> f ~obs mix)
-          in
+          let obs, events = Obs_trace.memory () in
+          let r = f ~obs mix in
           (r, events ())
         end
         else (f ~obs:Obs_trace.null mix, []))
@@ -170,13 +148,14 @@ let eval_mixes trace jobs mixes f =
   (match fst trace with
   | None -> ()
   | Some path ->
-      let sink = file_sink path (snd trace) in
-      Fun.protect
-        ~finally:(fun () -> Obs_sink.close sink)
-        (fun () ->
-          Array.iter
-            (fun (_, evs) -> List.iter (Obs_sink.emit sink) evs)
-            outcomes));
+      let render =
+        match snd trace with
+        | `Jsonl -> Render.jsonl ()
+        | `Chrome -> Render.chrome ()
+      in
+      let events = List.concat_map snd (Array.to_list outcomes) in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Render.to_string render events)));
   Array.map fst outcomes
 
 let verbose_term =

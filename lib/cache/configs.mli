@@ -1,4 +1,3 @@
-(* lint: allow-file S4 Table 1 constants are documented paper surface even where baseline () is the only consumer *)
 (** The paper's cache configurations (Tables 1 and 2).
 
     Table 1 fixes the private levels: 32KB 4-way L1I, 32KB 8-way L1D (both
@@ -9,17 +8,11 @@
 val line_bytes : int
 (** Cache line size used throughout (64 bytes). *)
 
-val l1i : Hierarchy.level
-(** 32KB 4-way instruction L1, 1 cycle (Table 1). *)
-
 val l1d : Hierarchy.level
 (** 32KB 8-way data L1, 1 cycle (Table 1). *)
 
 val l2 : Hierarchy.level
 (** 256KB 8-way private L2, 10 cycles (Table 1). *)
-
-val memory_latency : int  (* mppm: unit cycles *)
-(** Main-memory access latency in cycles (200, Table 1). *)
 
 val llc_config : int -> Hierarchy.level
 (** [llc_config n] is LLC configuration #[n] of Table 2 for [n] in 1..6:

@@ -129,21 +129,6 @@ let misses_with_ways t ~ways =
   misses_with_ways_into t ~ways:cell cell 0;
   cell.(0)
 
-(* Prefix sums over an interval sequence's access masses: groundwork for
-   O(1) window queries over prefix-sum profiles.
-   Element 0 is 0 and element i the running total after interval i, so a
-   window's mass is one subtraction of two cumulative readings. *)
-let prefix_counts sdcs =
-  let n = List.length sdcs in
-  let prefix = Array.make (n + 1) 0.0 in
-  List.iteri (fun i sdc -> prefix.(i + 1) <- prefix.(i) +. accesses sdc) sdcs;
-  prefix
-
-let window_accesses prefix ~first ~last =
-  if first < 0 || last < first || last >= Array.length prefix then
-    invalid_arg "Sdc.window_accesses: window out of range";
-  prefix.(last) -. prefix.(first)
-
 let to_list t = Array.to_list t.counters
 
 let of_list ~assoc counters =

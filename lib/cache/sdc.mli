@@ -89,21 +89,6 @@ val misses_with_ways : t -> ways:float -> float  (* mppm: unit _ -> ways:ways ->
     [ways >= assoc t] gives [misses t]; [ways = 0.] means every access
     misses.  This is the FOA contention model's core query. *)
 
-val prefix_counts : t list -> float array  (* mppm: unit _ -> cumulative accesses *)
-(** [prefix_counts sdcs] is the running access mass over an interval
-    sequence's SDCs: element [0] is [0.] and element [i] the total
-    accesses of the first [i] intervals.  A window's mass is then one
-    subtraction of two cumulative readings ({!window_accesses}) —
-    groundwork for O(1) window queries over prefix-sum profiles. *)
-
-val window_accesses :  (* mppm: unit cumulative accesses -> first:intervals -> last:intervals -> accesses *)
-  float array -> first:int -> last:int -> float
-(** [window_accesses prefix ~first ~last] is the access mass of intervals
-    [first], ..., [last - 1]: [prefix.(last) -. prefix.(first)].
-    Subtracting the two cumulative readings discharges to a per-window
-    quantity.  Raises [Invalid_argument] unless
-    [0 <= first <= last < length prefix]. *)
-
 val to_list : t -> float list
 (** Counters in order C_1, ..., C_A, C_{>A}. *)
 

@@ -17,9 +17,6 @@ module Single_flight = Mppm_pool.Single_flight
 type t = {
   scale : Scale.t;
   core : Core_model.params;
-  contention : Mppm_contention.Contention.model;
-  update_rule : Model.update_rule;
-  smoothing : float;
   seed : int;
   cache_dir : string option;
   profiles : (int * int, Profile.t) Single_flight.t;  (* (llc_config, bench) *)
@@ -28,19 +25,13 @@ type t = {
 
 let max_cores = 16
 
-let create ?(core = Core_model.default)
-    ?(model_contention = Mppm_contention.Contention.default)
-    ?(model_update = Model.Consistent) ?(model_smoothing = 0.5) ?(seed = 42)
-    ?cache_dir scale =
+let create ?(core = Core_model.default) ?(seed = 42) ?cache_dir scale =
   (match cache_dir with
   | Some dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   | None -> ());
   {
     scale;
     core;
-    contention = model_contention;
-    update_rule = model_update;
-    smoothing = model_smoothing;
     seed;
     cache_dir;
     profiles = Single_flight.create ~metric:"profile_cache" ();
@@ -57,14 +48,7 @@ let rng t purpose =
   Rng.create ~seed:(!h land max_int)
 
 let model_params t =
-  {
-    (Model.default_params
-       ~trace_instructions:t.scale.Scale.trace_instructions)
-    with
-    contention = t.contention;
-    update_rule = t.update_rule;
-    smoothing = t.smoothing;
-  }
+  Model.default_params ~trace_instructions:t.scale.Scale.trace_instructions
 
 let hierarchy _t ~llc_config = Configs.baseline ~llc:llc_config ()
 
@@ -289,9 +273,7 @@ let predict_with ?obs t ~params ~llc_config mix =
   Model.predict_profiles ?obs params (mix_profiles t ~llc_config mix)
 
 let predict_static t ~llc_config mix =
-  Mppm_core.Static_model.predict
-    { Mppm_core.Static_model.default_params with
-      contention = t.contention }
+  Mppm_core.Static_model.predict Mppm_core.Static_model.default_params
     (mix_profiles t ~llc_config mix)
 
 let categories t ~llc_config =

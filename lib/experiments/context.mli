@@ -4,14 +4,11 @@
     predicted metric pairs every figure is built from. *)
 
 type t
-(** An experiment context: scale, seed, model parameters and the profile
+(** An experiment context: scale, seed, core-model parameters and the profile
     cache. *)
 
 val create :
   ?core:Mppm_simcore.Core_model.params ->
-  ?model_contention:Mppm_contention.Contention.model ->
-  ?model_update:Mppm_core.Model.update_rule ->
-  ?model_smoothing:float ->
   ?seed:int ->
   ?cache_dir:string ->
   Scale.t ->
@@ -31,8 +28,8 @@ val rng : t -> string -> Mppm_util.Rng.t
     string; distinct purposes yield independent streams. *)
 
 val model_params : t -> Mppm_core.Model.params
-(** The MPPM parameters this context uses (paper-faithful ratios at the
-    context's scale, with any constructor overrides applied). *)
+(** The MPPM parameters this context uses: {!Mppm_core.Model.default_params}
+    (paper-faithful ratios) at the context's scale. *)
 
 val cache_path : t -> llc_config:int -> int -> string option
 (** [cache_path t ~llc_config i] is the on-disk location of suite benchmark

@@ -11,18 +11,14 @@ type t = {
   speedup_study_150 : (int * float) list;
 }
 
-(* This module's whole purpose is measuring wall-clock speedups (Fig. 1 /
-   Table 3), so the timer reads are intentional; timings are reported, never
-   fed back into model state. *)
-let time f =
-  (* lint: allow D1 *)
-  let t0 = Sys.time () in
-  let result = f () in
-  (* lint: allow D1 *)
-  (Sys.time () -. t0, result)
-
-let measure ctx ?(cores_list = [ 2; 4; 8 ]) ?(sim_mixes = 3)
+let measure ctx ~clock ?(cores_list = [ 2; 4; 8 ]) ?(sim_mixes = 3)
     ?(model_mixes = 50) () =
+  (* Timings are reported, never fed back into model state. *)
+  let time f =
+    let t0 = clock () in
+    let result = f () in
+    (clock () -. t0, result)
+  in
   let rng = Context.rng ctx "speed" in
   let scale = Context.scale ctx in
   (* Fresh profiling run (bypasses the context cache deliberately). *)

@@ -105,17 +105,3 @@ let quantile t p =
     in
     go 0 0.0
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  let n = Array.length t.bounds in
-  for i = 0 to n do
-    if i > 0 then Format.fprintf ppf "@,";
-    let label =
-      if i = 0 then Printf.sprintf "< %g" t.bounds.(0)
-      else if i = n then Printf.sprintf ">= %g" t.bounds.(n - 1)
-      else Printf.sprintf "[%g, %g)" t.bounds.(i - 1) t.bounds.(i)
-    in
-    Format.fprintf ppf "%-24s %.0f" label t.counts.(i)
-  done;
-  Format.fprintf ppf "@]"

@@ -1,4 +1,3 @@
-(* lint: allow-file S4 statistical readouts are obs API surface; external use is optional by design *)
 (** Fixed-bound histograms for telemetry (latency/budget/size
     distributions).
 
@@ -6,7 +5,7 @@
     buckets: (-inf, b_0), [b_0, b_1), ..., [b_{n-1}, +inf).  Two
     histograms with identical bounds merge bucket-wise, associatively and
     commutatively (exact on integer counts), so per-phase histograms can
-    be aggregated like {!Counter} sets. *)
+    be aggregated like counter totals. *)
 
 type t
 (** A mutable histogram. *)
@@ -54,6 +53,3 @@ val quantile : t -> float -> float
 val merge : t -> t -> t
 (** Bucket-wise sum of two histograms with identical bounds; raises
     [Invalid_argument] on a bounds mismatch.  Inputs are not mutated. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line [range count] rendering. *)

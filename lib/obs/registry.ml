@@ -1,4 +1,4 @@
-(* One global counter set, shared by every domain.  Pool workers
+(* One global counter table, shared by every domain.  Pool workers
    (lib/pool/) publish per-run aggregates here concurrently, so every
    operation takes the registry lock; counter updates are commutative
    additions, which keeps the totals independent of worker scheduling. *)
@@ -7,29 +7,41 @@
    lib/pool/ written from worker domains; a single lock makes its
    updates atomic *)
 
-let counters = Counter.create ()
+let counters : (string, float ref) Hashtbl.t = Hashtbl.create ~random:false 16
 let mutex = Mutex.create ()
 
 let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let add name by = locked (fun () -> Counter.add counters name by)
-let incr name = locked (fun () -> Counter.incr counters name)
+(* Callers hold the lock. *)
+let bump name by =
+  if not (Float.is_finite by) then invalid_arg "Registry.add: non-finite delta";
+  match Hashtbl.find_opt counters name with
+  | Some cell -> cell := !cell +. by
+  | None -> Hashtbl.add counters name (ref by)
+
+let add name by = locked (fun () -> bump name by)
+let incr name = add name 1.0
 
 let add_all ~prefix pairs =
   locked (fun () ->
-      List.iter (fun (name, v) -> Counter.add counters (prefix ^ "." ^ name) v)
-        pairs)
+      List.iter (fun (name, v) -> bump (prefix ^ "." ^ name) v) pairs)
 
-let get name = locked (fun () -> Counter.value counters name)
-let snapshot () = locked (fun () -> Counter.to_alist counters)
+let get name =
+  locked (fun () ->
+      match Hashtbl.find_opt counters name with
+      | Some cell -> !cell
+      | None -> 0.0)
 
 let snapshot_prefix prefix =
   let p = prefix ^ "." in
-  let n = String.length p in
-  List.filter
-    (fun (name, _) -> String.length name >= n && String.sub name 0 n = p)
-    (snapshot ())
+  locked (fun () ->
+      Hashtbl.fold
+        (fun name cell acc ->
+          if String.starts_with ~prefix:p name then (name, !cell) :: acc
+          else acc)
+        counters [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset () = locked (fun () -> Counter.reset counters)
+let reset () = locked (fun () -> Hashtbl.reset counters)

@@ -1,4 +1,5 @@
-(** The process-wide metrics registry: one global {!Counter} set.
+(** The process-wide metrics registry: one global table of named,
+    float-valued counters.
 
     Instrumentation points that have no natural handle to thread (profile
     cache hits, end-of-run simulator aggregates) accumulate here.  Writes
@@ -9,7 +10,8 @@
     ["simcore.llc.misses"]. *)
 
 val add : string -> float -> unit
-(** Accumulate onto a named counter. *)
+(** Accumulate onto a named counter (creating it at 0).  Raises
+    [Invalid_argument "Registry.add: ..."] on a non-finite delta. *)
 
 val incr : string -> unit
 (** Add 1 to a named counter. *)

@@ -1,36 +1,28 @@
-(* Pure incremental renderers for event streams.  File I/O stays in
-   bin/ and bench/ (lint rules S1/O1): a renderer only turns events into
-   the exact bytes a writer should append, including the stream framing
-   (the Chrome trace_event array brackets and separators). *)
+(* Pure renderers for collected events.  File I/O stays in bin/ and
+   bench/ (lint rules S1/O1): a renderer only turns events into the exact
+   bytes a writer should write, including the file framing (the Chrome
+   trace_event array brackets and separators). *)
 
-type t = {
-  r_header : string;
-  r_step : Event.t -> string;
-  r_finish : string;
-}
+type t = Jsonl | Chrome of (Event.t -> int)
 
-let jsonl () =
-  { r_header = ""; r_step = (fun ev -> Event.to_jsonl ev ^ "\n"); r_finish = "" }
-
-let chrome ?(lane = fun _ -> 0) () =
-  let first = ref true in
-  {
-    r_header = "[";
-    r_step =
-      (fun ev ->
-        let sep = if !first then "\n" else ",\n" in
-        first := false;
-        sep ^ Event.to_chrome ~tid:(lane ev) ev);
-    r_finish = "\n]\n";
-  }
-
-let header t = t.r_header
-let step t ev = t.r_step ev
-let finish t = t.r_finish
+let jsonl () = Jsonl
+let chrome ?(lane = fun _ -> 0) () = Chrome lane
 
 let to_string t events =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf t.r_header;
-  List.iter (fun ev -> Buffer.add_string buf (t.r_step ev)) events;
-  Buffer.add_string buf t.r_finish;
+  (match t with
+  | Jsonl ->
+      List.iter
+        (fun ev ->
+          Buffer.add_string buf (Event.to_jsonl ev);
+          Buffer.add_char buf '\n')
+        events
+  | Chrome lane ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i ev ->
+          Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+          Buffer.add_string buf (Event.to_chrome ~tid:(lane ev) ev))
+        events;
+      Buffer.add_string buf "\n]\n");
   Buffer.contents buf

@@ -1,36 +1,24 @@
-(** Incremental renderers for event streams: the pure
-    [Event.t -> bytes-to-append] layer under every trace file writer.
+(** Renderers for collected event lists: the pure [Event.t list -> bytes]
+    layer under every trace file writer.
 
-    A renderer owns the stream framing — the JSONL newline discipline,
-    the Chrome [trace_event] array brackets and separators — so writers
-    in [bin/] and [bench/] only append strings to a channel and [lib/]
+    A renderer owns the file framing — the JSONL newline discipline, the
+    Chrome [trace_event] array brackets and separators — so writers in
+    [bin/] and [bench/] only write one string to a channel and [lib/]
     never owns one (lint rules S1/O1).  Rendering is deterministic:
-    identical event streams produce byte-identical files. *)
+    identical event lists produce byte-identical files. *)
 
 type t
-(** A stateful stream renderer (tracks the element separator). *)
+(** An output format. *)
 
 val jsonl : unit -> t
-(** The JSONL stream: every event renders as its {!Event.to_jsonl} line
-    plus a newline; no header or trailer. *)
+(** JSONL: every event renders as its {!Event.to_jsonl} line plus a
+    newline; no header or trailer. *)
 
 val chrome : ?lane:(Event.t -> int) -> unit -> t
 (** A Chrome [trace_event] JSON array.  [lane] maps each event to its
     [tid] timeline row (default: everything on lane 0) — the bench phase
-    trace uses it to put pool workers on per-domain lanes. *)
-
-val header : t -> string
-(** Bytes to write before the first event (["["] for Chrome, empty for
-    JSONL). *)
-
-val step : t -> Event.t -> string
-(** Bytes to append for this event, separators included.  Stateful:
-    call in stream order. *)
-
-val finish : t -> string
-(** Bytes to append after the last event (["\n]\n"] for Chrome).  A
-    stream with no events is still well-formed: [header ^ finish]. *)
+    trace uses it to put pool workers on per-domain lanes.  An empty
+    list still renders a well-formed array. *)
 
 val to_string : t -> Event.t list -> string
-(** [to_string t events] renders a whole stream in one call —
-    [header ^ concat (step ...) ^ finish]. *)
+(** [to_string t events] renders the whole file in one call. *)

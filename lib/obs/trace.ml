@@ -1,20 +1,12 @@
-type t = Sink.t option
+type t = Event.t list ref option
 
 let null = None
-let of_sink sink = Some sink
+
+let memory () =
+  let events = ref [] in
+  (Some events, fun () -> List.rev !events)
+
 let enabled t = Option.is_some t
 
 let emit t thunk =
-  match t with None -> () | Some sink -> Sink.emit sink (thunk ())
-
-let instant t ~name ~time fields =
-  match t with
-  | None -> ()
-  | Some sink -> Sink.emit sink (Event.make ~name ~time fields)
-
-let span t ~name ~time ~dur fields =
-  match t with
-  | None -> ()
-  | Some sink -> Sink.emit sink (Event.make ~name ~time ~dur fields)
-
-let close t = match t with None -> () | Some sink -> Sink.close sink
+  match t with None -> () | Some events -> events := thunk () :: !events

@@ -1,42 +1,27 @@
-(* lint: allow-file S4 emit helpers are the documented obs API even when sinks are attached elsewhere *)
 (** The trace handle threaded through the model core.
 
     [Trace.null] is the default everywhere: with it, every emission point
     is a single pattern match on an immediate — no event is built, no
     field list allocated, and model results are bit-for-bit identical to
     an instrumented run (the same discipline as [MPPM_SANITIZE=1]).
-    Attach a {!Sink.t} to make the same run stream typed events. *)
+    {!memory} makes the same run collect typed events, which the caller
+    renders afterwards with {!Render}. *)
 
 type t
-(** A possibly-null event emitter. *)
+(** A possibly-null event collector. *)
 
 val null : t
 (** The no-op handle: emission points cost one branch. *)
 
-val of_sink : Sink.t -> t
-(** A live handle delivering to [sink]. *)
+val memory : unit -> t * (unit -> Event.t list)
+(** A collecting handle: [let obs, events = memory ()] stores every
+    emitted event; [events ()] returns them in emission order.  One
+    collector belongs to one run on one domain. *)
 
 val enabled : t -> bool
-(** Whether a sink is attached.  Instrumentation uses this to skip
-    building payloads that only exist for the trace. *)
+(** Whether events are being collected.  Instrumentation uses this to
+    skip building payloads that only exist for the trace. *)
 
 val emit : t -> (unit -> Event.t) -> unit
-(** [emit t thunk] forces [thunk] and delivers the event only when a sink
-    is attached — the thunk must be side-effect-free on model state. *)
-
-val instant : t -> name:string -> time:float -> (string * Event.value) list -> unit
-(** Build-and-emit convenience for instant events.  Note the field list
-    is evaluated by the caller; prefer {!emit} with a thunk on hot
-    paths. *)
-
-val span :
-  t ->
-  name:string ->
-  time:float ->
-  dur:float ->
-  (string * Event.value) list ->
-  unit
-(** Build-and-emit convenience for span events. *)
-
-val close : t -> unit
-(** Close the underlying sink, if any. *)
+(** [emit t thunk] forces [thunk] and records the event only when [t]
+    collects — the thunk must be side-effect-free on model state. *)

@@ -250,27 +250,6 @@ let test_sdc_misses_with_ways () =
   check_float "2.5 ways" 4.5 (Sdc.misses_with_ways sdc ~ways:2.5);
   check_float "beyond assoc clamps" 1.0 (Sdc.misses_with_ways sdc ~ways:10.0)
 
-let test_sdc_prefix_counts () =
-  let mk n =
-    let sdc = Sdc.create ~assoc:4 in
-    for _ = 1 to n do
-      Sdc.record sdc ~depth:1
-    done;
-    sdc
-  in
-  let prefix = Sdc.prefix_counts [ mk 3; mk 5; mk 2 ] in
-  Alcotest.(check (list (float 1e-9)))
-    "running totals with a leading zero"
-    [ 0.0; 3.0; 8.0; 10.0 ] (Array.to_list prefix);
-  check_float "window [1, 3) mass by subtraction" 7.0
-    (Sdc.window_accesses prefix ~first:1 ~last:3);
-  check_float "whole-sequence mass" 10.0
-    (Sdc.window_accesses prefix ~first:0 ~last:3);
-  check_float "empty window" 0.0 (Sdc.window_accesses prefix ~first:2 ~last:2);
-  Alcotest.check_raises "out-of-range window rejected"
-    (Invalid_argument "Sdc.window_accesses: window out of range") (fun () ->
-      ignore (Sdc.window_accesses prefix ~first:0 ~last:4))
-
 let test_sdc_reduction_matches_resimulation () =
   (* The paper's Sec. 2 claim: a 16-way profile reduced to 8 ways equals a
      direct 8-way profile with the same set count. *)
@@ -552,7 +531,6 @@ let tests =
         Alcotest.test_case "add and scale" `Quick test_sdc_add_scale;
         Alcotest.test_case "reduce associativity" `Quick test_sdc_reduce_associativity;
         Alcotest.test_case "misses with fractional ways" `Quick test_sdc_misses_with_ways;
-        Alcotest.test_case "prefix counts and window readout" `Quick test_sdc_prefix_counts;
         Alcotest.test_case "reduction matches resimulation" `Quick
           test_sdc_reduction_matches_resimulation;
         Alcotest.test_case "error cases" `Quick test_sdc_errors;

@@ -232,7 +232,7 @@ let test_model_paper_vs_consistent_update () =
   Alcotest.(check bool) "both predict contention" true (paper > 1.1 && consistent > 1.1);
   Alcotest.(check bool) "paper-literal is the smaller" true (paper < consistent)
 
-let test_model_contention_model_is_pluggable () =
+let test_contention_model_is_pluggable () =
   let inputs =
     [|
       stationary_profile ~name:"a" ~cpi:1.0 ~stall_per_miss:80.0
@@ -340,7 +340,7 @@ let tests =
         Alcotest.test_case "closed-form fixed point" `Quick test_model_fixed_point_closed_form;
         Alcotest.test_case "paper vs consistent update" `Quick
           test_model_paper_vs_consistent_update;
-        Alcotest.test_case "pluggable contention" `Quick test_model_contention_model_is_pluggable;
+        Alcotest.test_case "pluggable contention" `Quick test_contention_model_is_pluggable;
         Alcotest.test_case "deterministic" `Quick test_model_deterministic;
       ] );
     ( "core.end_to_end",

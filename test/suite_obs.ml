@@ -1,15 +1,14 @@
 (* Tests for the Mppm_obs observability layer: event serialization and
-   round-trips, counter/histogram merge algebra, the model core's event
+   round-trips, histogram merge algebra, the model core's event
    stream (deterministic and matching the checked-in golden trace), the
    registry aggregates the simulators push, and the hard guarantee that
    attaching a trace never changes results bit-for-bit.  The tail drives
-   the built bin/mppm.exe trace-report and tools/benchdiff.exe for their
-   exit-code and error-message contracts. *)
+   the built bin/mppm.exe (trace-report, and predict --trace for the bytes
+   it writes) and tools/benchdiff.exe for their exit-code and
+   error-message contracts. *)
 
 module Event = Mppm_obs.Event
-module Sink = Mppm_obs.Sink
 module Trace = Mppm_obs.Trace
-module Counter = Mppm_obs.Counter
 module Histogram = Mppm_obs.Histogram
 module Registry = Mppm_obs.Registry
 module Prof = Mppm_obs.Prof
@@ -21,14 +20,12 @@ open Mppm_experiments
 let canonical_mix = Mix.of_names [| "gamess"; "gamess"; "hmmer"; "soplex" |]
 let tiny_scale = Scale.of_trace 100_000
 
-(* Predict the canonical mix with a collecting sink attached; returns the
-   model result and the captured trace as JSONL lines. *)
+(* Predict the canonical mix with a trace collector attached; returns the
+   model result and the collected events. *)
 let traced_run () =
   let ctx = Context.create ~seed:7 tiny_scale in
-  let sink, events = Sink.memory () in
-  let obs = Trace.of_sink sink in
+  let obs, events = Trace.memory () in
   let result = Context.predict ~obs ctx ~llc_config:1 canonical_mix in
-  Trace.close obs;
   (result, events ())
 
 let jsonl_lines events = List.map Event.to_jsonl events
@@ -117,7 +114,7 @@ let test_trace_matches_golden () =
   in
   Alcotest.(check string) "trace matches the checked-in golden" golden ours
 
-(* The hard constraint: attaching a sink must not change any result bit. *)
+(* The hard constraint: collecting a trace must not change any result bit. *)
 let test_traced_equals_untraced () =
   let untraced =
     let ctx = Context.create ~seed:7 tiny_scale in
@@ -168,16 +165,26 @@ let test_registry_aggregates () =
     && snapshot <> []);
   Registry.reset ()
 
-(* ---- counter / histogram algebra ----------------------------------------- *)
+let test_registry_rejects_non_finite () =
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: non-finite delta accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (what ^ " error is prefixed: " ^ msg)
+          true
+          (String.starts_with ~prefix:"Registry.add:" msg)
+  in
+  List.iter
+    (fun delta ->
+      rejects "add" (fun () -> Registry.add "test.non_finite" delta);
+      rejects "add_all" (fun () ->
+          Registry.add_all ~prefix:"test" [ ("non_finite", delta) ]))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check (float 0.0)) "rejected deltas create no counter" 0.0
+    (Registry.get "test.non_finite")
 
-(* Integer-valued counters keep float addition exact, so merge order must
-   not matter at all. *)
-let counter_gen =
-  QCheck.(
-    small_list (pair (oneofl [ "a"; "b"; "c"; "d" ]) (int_range 0 1000)))
-
-let counter_of_spec spec =
-  Counter.of_alist (List.map (fun (k, v) -> (k, float_of_int v)) spec)
+(* ---- histogram algebra -------------------------------------------------- *)
 
 (* Shared by the histogram qcheck laws: samples over fixed bounds. *)
 let quantile_bounds = [| 10.0; 25.0; 50.0; 75.0 |]
@@ -191,27 +198,6 @@ let samples_gen = QCheck.(list_of_size Gen.(int_range 1 40) (int_range 0 120))
 
 let qcheck_tests =
   [
-    QCheck.Test.make ~name:"counter merge commutes" ~count:300
-      QCheck.(pair counter_gen counter_gen)
-      (fun (sa, sb) ->
-        let a = counter_of_spec sa and b = counter_of_spec sb in
-        Counter.to_alist (Counter.merge a b)
-        = Counter.to_alist (Counter.merge b a));
-    QCheck.Test.make ~name:"counter merge associates" ~count:300
-      QCheck.(triple counter_gen counter_gen counter_gen)
-      (fun (sa, sb, sc) ->
-        let a = counter_of_spec sa
-        and b = counter_of_spec sb
-        and c = counter_of_spec sc in
-        Counter.to_alist (Counter.merge (Counter.merge a b) c)
-        = Counter.to_alist (Counter.merge a (Counter.merge b c)));
-    QCheck.Test.make ~name:"counter merge leaves inputs intact" ~count:300
-      QCheck.(pair counter_gen counter_gen)
-      (fun (sa, sb) ->
-        let a = counter_of_spec sa and b = counter_of_spec sb in
-        let before = Counter.to_alist a in
-        ignore (Counter.merge a b);
-        Counter.to_alist a = before);
     QCheck.Test.make ~name:"histogram merge commutes and associates"
       ~count:300
       QCheck.(
@@ -409,18 +395,14 @@ let test_profiled_equals_unprofiled () =
   Alcotest.(check int) "exactly one span recorded" 1
     (List.length (Prof.spans prof))
 
-(* ---- stream renderers ----------------------------------------------------- *)
+(* ---- renderers ----------------------------------------------------------- *)
 
 let test_render_jsonl () =
   let ev1 = Event.make ~name:"a" ~time:1.0 [] in
   let ev2 = Event.make ~name:"b" ~time:2.0 ~dur:1.0 [ ("k", Event.Int 3) ] in
-  let r = Render.jsonl () in
-  Alcotest.(check string) "no header" "" (Render.header r);
+  Alcotest.(check string) "empty list renders nothing" ""
+    (Render.to_string (Render.jsonl ()) []);
   Alcotest.(check string) "one line per event"
-    (Event.to_jsonl ev1 ^ "\n")
-    (Render.step r ev1);
-  Alcotest.(check string) "no trailer" "" (Render.finish r);
-  Alcotest.(check string) "whole stream"
     (Event.to_jsonl ev1 ^ "\n" ^ Event.to_jsonl ev2 ^ "\n")
     (Render.to_string (Render.jsonl ()) [ ev1; ev2 ])
 
@@ -526,6 +508,72 @@ let test_trace_report_bad_input () =
       Alcotest.(check bool) "hint says it looks like a Chrome trace" true
         (contains text "Chrome")
 
+(* The --trace writer: each mix's events are collected in memory and the
+   file is rendered once after the batch, so its bytes must equal the
+   golden JSONL, the in-process Chrome rendering, and themselves for any
+   --jobs.  Each test profiles into its own scratch cache. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "mppm_cli_trace" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name -> Sys.remove (Filename.concat dir name))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* [mppm predict ARGS --trace FILE] in [dir]; returns the trace bytes. *)
+let cli_trace exe dir ~args ~file =
+  let path = Filename.concat dir file in
+  let rc, text =
+    run_cli
+      (Printf.sprintf "%s predict %s --length 100000 --seed 7 --cache %s \
+                       --trace %s"
+         (Filename.quote exe) args (Filename.quote dir) (Filename.quote path))
+  in
+  if rc <> 0 then Alcotest.failf "mppm predict exited %d: %s" rc text;
+  read_file path
+
+let canonical_args = "gamess gamess hmmer soplex"
+
+let test_cli_trace_golden () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun dir ->
+      Alcotest.(check string) "--trace JSONL equals the checked-in golden"
+        (read_file golden_file)
+        (cli_trace exe dir ~args:canonical_args ~file:"canonical.jsonl")
+
+let test_cli_trace_chrome () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun dir ->
+      Alcotest.(check string) "--trace-format chrome equals Render.chrome"
+        (Render.to_string (Render.chrome ()) (snd (traced_run ())))
+        (cli_trace exe dir
+           ~args:(canonical_args ^ " --trace-format chrome")
+           ~file:"canonical.json")
+
+let test_cli_trace_jobs () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun dir ->
+      let batch = "gamess,gamess,hmmer,soplex mcf,lbm,milc,GemsFDTD" in
+      let sequential =
+        cli_trace exe dir ~args:(batch ^ " --jobs 1") ~file:"jobs1.jsonl"
+      in
+      Alcotest.(check string) "batch trace identical at --jobs 1 and 2"
+        sequential
+        (cli_trace exe dir ~args:(batch ^ " --jobs 2") ~file:"jobs2.jsonl");
+      Alcotest.(check int) "one model.start per mix" 2
+        (List.length
+           (List.filter
+              (fun line -> contains line "\"model.start\"")
+              (String.split_on_char '\n' sequential)))
+
 (* benchdiff on the committed fixtures (test/benchdiff_*.json, in the
    [perf.exe --workload all] format) against BENCHMARK.json's bounds. *)
 let test_benchdiff_exit_codes () =
@@ -600,6 +648,8 @@ let tests =
       [
         Alcotest.test_case "end-to-end aggregates" `Slow
           test_registry_aggregates;
+        Alcotest.test_case "non-finite delta rejected" `Quick
+          test_registry_rejects_non_finite;
       ] );
     ( "obs.metrics",
       Alcotest.test_case "histogram basics" `Quick test_histogram_basics
@@ -627,5 +677,14 @@ let tests =
           test_benchdiff_baseline;
         Alcotest.test_case "trace-report rejects empty/foreign traces" `Quick
           test_trace_report_bad_input;
+      ] );
+    ( "obs.cli-trace",
+      [
+        Alcotest.test_case "JSONL equals the golden" `Quick
+          test_cli_trace_golden;
+        Alcotest.test_case "chrome equals Render.chrome" `Quick
+          test_cli_trace_chrome;
+        Alcotest.test_case "batch bytes independent of --jobs" `Quick
+          test_cli_trace_jobs;
       ] );
   ]

@@ -9,7 +9,6 @@ module Single_flight = Mppm_pool.Single_flight
 module Prof = Mppm_obs.Prof
 module Rng = Mppm_util.Rng
 module Registry = Mppm_obs.Registry
-module Sink = Mppm_obs.Sink
 module Trace = Mppm_obs.Trace
 module Event = Mppm_obs.Event
 module Mix = Mppm_workload.Mix
@@ -291,17 +290,15 @@ let mixes =
     Mix.of_names [| "mcf"; "lbm"; "milc"; "GemsFDTD" |];
   |]
 
-(* Predict + simulate each mix with a per-mix collecting sink, the way
+(* Predict + simulate each mix with a per-mix trace collector, the way
    bin/mppm batches mixes; returns per-mix (predicted, measured STP,
    trace lines). *)
 let compare_all map_fn =
   let ctx = Context.create ~seed:7 tiny_scale in
   map_fn
     (fun mix ->
-      let sink, events = Sink.memory () in
-      let obs = Trace.of_sink sink in
+      let obs, events = Trace.memory () in
       let predicted = Context.predict ~obs ctx ~llc_config:1 mix in
-      Trace.close obs;
       let measured = Context.detailed ctx ~llc_config:1 mix in
       ( predicted,
         measured.Context.m_stp,

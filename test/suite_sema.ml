@@ -976,40 +976,49 @@ let test_u3_ratio () =
         || contains b.Diag.message "interval index")
   | ds -> Alcotest.failf "expected two U3, got %d U findings" (List.length ds))
 
-(* The committed SDC prefix-sum readout is the real-source anchor: flip its
-   subtraction into an addition and U2 must fire on the flipped line. *)
+(* An SDC prefix-sum readout (running access totals, one subtraction per
+   window): flip its subtraction into an addition and U2 must fire on the
+   flipped line. *)
+let sdc_readout_mli =
+  {|type t
+val accesses : t -> float  (* mppm: unit accesses *)
+val prefix_sums : t list -> float array  (* mppm: unit _ -> cumulative accesses *)
+val window_accesses :  (* mppm: unit cumulative accesses -> first:intervals -> last:intervals -> accesses *)
+  float array -> first:int -> last:int -> float
+|}
+
+let sdc_readout_ml =
+  {|type t = { mass : float }
+
+let accesses t = t.mass
+
+let prefix_sums sdcs =
+  let n = List.length sdcs in
+  let prefix = Array.make (n + 1) 0.0 in
+  List.iteri (fun i sdc -> prefix.(i + 1) <- prefix.(i) +. accesses sdc) sdcs;
+  prefix
+
+let window_accesses prefix ~first ~last =
+  if first < 0 || last < first || last >= Array.length prefix then
+    invalid_arg "Sdc.window_accesses: window out of range";
+  prefix.(last) -. prefix.(first)
+|}
+
 let test_u2_real_sdc_flip () =
-  match lint_root () with
-  | None -> Alcotest.fail "cannot locate the source tree"
-  | Some root ->
-      let ml = read_file (Filename.concat root "lib/cache/sdc.ml") in
-      let mli = read_file (Filename.concat root "lib/cache/sdc.mli") in
-      let clean =
-        analyze [ ("lib/cache/sdc.mli", mli); ("lib/cache/sdc.ml", ml) ]
-      in
-      Alcotest.(check int) "pristine readout is unit-clean" 0
-        (List.length (u_rules clean));
-      let needle = "prefix.(last) -. prefix.(first)" in
-      Alcotest.(check bool) "readout shape present" true (contains ml needle);
-      let idx =
-        let n = String.length needle and h = String.length ml in
-        let rec go i =
-          if i + n > h then Alcotest.fail "needle vanished"
-          else if String.sub ml i n = needle then i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let flipped =
-        String.sub ml 0 idx
-        ^ "prefix.(last) +. prefix.(first)"
-        ^ String.sub ml (idx + String.length needle)
-            (String.length ml - idx - String.length needle)
-      in
+  let ml = sdc_readout_ml and mli = sdc_readout_mli in
+  let clean =
+    analyze [ ("lib/cache/sdc.mli", mli); ("lib/cache/sdc.ml", ml) ]
+  in
+  Alcotest.(check int) "pristine readout is unit-clean" 0
+    (List.length (u_rules clean));
+  let needle = "prefix.(last) -. prefix.(first)" in
+  match replace_once ml needle "prefix.(last) +. prefix.(first)" with
+  | None -> Alcotest.fail "readout shape not found"
+  | Some flipped -> (
       let r =
         analyze [ ("lib/cache/sdc.mli", mli); ("lib/cache/sdc.ml", flipped) ]
       in
-      (match u_rules r with
+      match u_rules r with
       | [ d ] ->
           Alcotest.(check string) "flipped subtraction is U2" "U2" d.Diag.rule;
           Alcotest.(check bool) "message explains composition" true

@@ -40,14 +40,14 @@ let all =
       id = "O1";
       summary =
         "Console output from lib/: return data, render via a caller-supplied \
-         formatter, or emit through an Mppm_obs sink.";
+         formatter, or collect events in an Mppm_obs trace.";
     };
     {
       id = "S1";
       summary =
         "Effect containment: a lib/ function transitively reaches file or \
          channel I/O outside the allowlisted profile-cache / trace-file / \
-         obs-sink modules.";
+         experiment-context modules.";
     };
     {
       id = "S2";

@@ -17,14 +17,13 @@
 module Diag = Mppm_lint.Diag
 
 (* Units allowed to perform (and absorb) file/channel I/O: the profile
-   store, the binary trace store, the profile-cache directory management in
-   the experiment context, and the observability sink surface. *)
+   store, the binary trace store and the profile-cache directory
+   management in the experiment context. *)
 let allowlist =
   [
     "lib/profile/profile";
     "lib/trace/trace_file";
     "lib/experiments/context";
-    "lib/obs/sink";
   ]
 
 (* Units allowed to use (and absorb) the Domain/Mutex/Condition/Atomic
@@ -227,8 +226,9 @@ let callee_label callee =
 
 (* Pre-fixpoint seeding: a call passing a module-level value as the first
    positional argument of a callee that mutates its first parameter is a
-   write to toplevel state made on the caller's behalf — the shape of the
-   registry's [Counter.add counters ...]. *)
+   write to toplevel state made on the caller's behalf — the shape
+   [Tally.add totals name 1.0], where [totals] is a toplevel table and
+   [Tally.add] is a lib/ function that writes its first argument. *)
 let seed_top_arg_calls env facts_list nodes =
   List.iter
     (fun (f : Facts.t) ->
@@ -357,8 +357,8 @@ let check t =
             message =
               Printf.sprintf
                 "%s reaches file/channel I/O (%s); lib/ effects must stay \
-                 inside the allowlisted profile-cache/trace-file/obs-sink \
-                 modules"
+                 inside the allowlisted \
+                 profile-cache/trace-file/experiment-context modules"
                 node.fn.Facts.fn_name node.io_witness;
           }
           :: !diags;

@@ -142,7 +142,8 @@ let path_rules ~rel ~aliases walk =
           ~severity:(if lib then Diag.Error else Diag.Warning)
           (Printf.sprintf
              "console output (%s) in %s: return data, render via a \
-              caller-supplied formatter, or emit through an Mppm_obs sink"
+              caller-supplied formatter, or collect events in an Mppm_obs \
+              trace"
              what
              (if lib then "lib/" else "test/examples code"))
     | _ -> ()

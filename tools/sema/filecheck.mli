@@ -23,8 +23,8 @@
       ([print_string], [prerr_endline], ...), [Printf.printf]/[eprintf],
       [Format.printf]/[eprintf], and [Format.std_formatter]/
       [err_formatter] are banned.  Library code returns data, renders
-      through a caller-supplied formatter, or emits through an
-      [Mppm_obs] sink.
+      through a caller-supplied formatter, or collects events in an
+      [Mppm_obs] trace.
 
     Paths are matched after module-alias expansion and with a leading
     [Stdlib.] dropped, so [Stdlib.Random.int] and
