@@ -425,9 +425,10 @@ let cache_stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Classify the profile cache: live entries (fingerprint matches a \
-          current benchmark/config), stale entries (recognized name but \
-          outdated fingerprint), foreign files, and orphaned .tmp staging \
-          files left by interrupted writes.")
+          current benchmark/config profile or a benchmark's private \
+          stream), stale entries (recognized name but outdated \
+          fingerprint), foreign files, and orphaned .tmp staging files \
+          left by interrupted writes.")
     Term.(const run $ common_term)
 
 let cache_prune_cmd =
@@ -441,9 +442,10 @@ let cache_prune_cmd =
   Cmd.v
     (Cmd.info "prune"
        ~doc:
-         "Delete profile-cache entries whose fingerprint no longer matches \
-          any known benchmark/config pair, plus orphaned .tmp staging files \
-          from interrupted writes.  Live and foreign files are kept.")
+         "Delete profile-cache entries (profiles and private streams) whose \
+          fingerprint no longer matches any known benchmark/config pair, \
+          plus orphaned .tmp staging files from interrupted writes.  Live \
+          and foreign files are kept.")
     Term.(const run $ common_term)
 
 let cache_cmd =

@@ -240,6 +240,10 @@ let run length seed cache_dir listen jobs warm_configs =
   List.iter
     (fun cfg -> ignore (Context.all_profiles ~pool ctx ~llc_config:cfg))
     warm_configs;
+  (* Serving keeps only the resident profiles: return the warm-up's
+     garbage (profile builds, stream recordings and their channels) to
+     the system before the first request. *)
+  Gc.compact ();
   Format.printf "mppmd: %d profiles resident (LLC config%s %s) in %.1fs@."
     (Mppm_trace.Suite.count * List.length warm_configs)
     (if List.length warm_configs = 1 then "" else "s")

@@ -244,6 +244,28 @@ let owner_lines t ~owner =
   else if owner = 0 then resident_lines t
   else 0
 
+(* Order: the three statistics, the Random policy's PRNG state (if any),
+   then [fill], [tags], [ages] and [owners]. *)
+let save t put =
+  put t.accesses;
+  put t.hits;
+  put t.misses;
+  Option.iter (fun rng -> Mppm_util.Rng.save rng put) t.rng;
+  List.iter (Array.iter put) [ t.fill; t.tags; t.ages; t.owners ]
+
+let restore t get =
+  t.accesses <- get ();
+  t.hits <- get ();
+  t.misses <- get ();
+  Option.iter (fun rng -> Mppm_util.Rng.restore rng get) t.rng;
+  List.iter
+    (fun a -> Array.iteri (fun i _ -> a.(i) <- get ()) a)
+    [ t.fill; t.tags; t.ages; t.owners ];
+  Array.iter
+    (fun n ->
+      if n < 0 || n > t.ways then invalid_arg "Cache.restore: corrupt set fill")
+    t.fill
+
 let counters t =
   [
     ("accesses", float_of_int t.accesses);

@@ -67,6 +67,14 @@ val clear : t -> unit
 val resident_lines : t -> int  (* mppm: unit sets*ways *)
 (** Number of currently valid lines (for occupancy assertions). *)
 
+val save : t -> (int -> unit) -> unit
+(** [save t put] hands the cache's whole state (contents, replacement
+    state and statistics) to [put], int by int. *)
+
+val restore : t -> (unit -> int) -> unit
+(** [restore t get] puts [t], a cache of the same geometry, policy and
+    partition, into a state {!save} produced, read through [get]. *)
+
 val counters : t -> (string * float) list
 (** The statistics counters as observability pairs
     ([accesses]/[hits]/[misses]), ready for

@@ -58,33 +58,44 @@ let level_latency config ~kind level =
   | 2 -> config.llc.latency
   | _ -> config.llc.latency + config.memory_latency
 
-(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = LLC, 3 = memory *)
-let access t ~kind ~addr =
+(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = bound for the LLC *)
+let access_private t ~kind ~addr =
   let l1 =
     match kind with Fetch -> t.l1i_cache | Load | Store -> t.l1d_cache
   in
-  if Cache.access l1 addr > 0 then begin
-    t.llc_depth <- -1;
-    0
-  end
-  else if Cache.access t.l2_cache addr > 0 then begin
-    t.llc_depth <- -1;
-    1
-  end
+  t.llc_depth <- -1;
+  if Cache.access l1 addr > 0 then 0
+  else if Cache.access t.l2_cache addr > 0 then 1
+  else 2
+
+(* mppm: unit _ -- level code: 2 = LLC hit, 3 = memory *)
+let access_llc t ~addr =
+  t.llc_accesses <- t.llc_accesses + 1;
+  (* A perfect LLC hits on every access and keeps no state. *)
+  let depth =
+    if t.perfect_llc then 1
+    else Cache.access_as t.llc_cache ~owner:t.llc_owner addr
+  in
+  t.llc_depth <- depth;
+  if depth > 0 then 2
   else begin
-    t.llc_accesses <- t.llc_accesses + 1;
-    (* A perfect LLC hits on every access and keeps no state. *)
-    let depth =
-      if t.perfect_llc then 1
-      else Cache.access_as t.llc_cache ~owner:t.llc_owner addr
-    in
-    t.llc_depth <- depth;
-    if depth > 0 then 2
-    else begin
-      t.llc_misses <- t.llc_misses + 1;
-      3
-    end
+    t.llc_misses <- t.llc_misses + 1;
+    3
   end
+
+(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = LLC, 3 = memory *)
+let access t ~kind ~addr =
+  match access_private t ~kind ~addr with
+  | 2 -> access_llc t ~addr
+  | level -> level
+
+let save_private t put =
+  List.iter (fun c -> Cache.save c put) [ t.l1i_cache; t.l1d_cache; t.l2_cache ]
+
+let restore_private t get =
+  List.iter
+    (fun c -> Cache.restore c get)
+    [ t.l1i_cache; t.l1d_cache; t.l2_cache ]
 
 let llc_depth t = t.llc_depth
 let llc_accesses t = t.llc_accesses

@@ -50,6 +50,26 @@ val access : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ *)
     miss).  The LLC's own outcome is left in {!llc_depth}.  Nothing is
     allocated per access. *)
 
+val access_private : t -> kind:access_kind -> addr:int -> int  (* mppm: unit _ *)
+(** The private half of {!access}: simulates L1 and L2 only and returns
+    [0] (L1), [1] (L2) or [2] (missed both: bound for the LLC).  Private
+    outcomes depend on nothing but this core's own access sequence, which
+    is what lets a recorded private stream stand in for them. *)
+
+val access_llc : t -> addr:int -> int  (* mppm: unit _ *)
+(** The shared half of {!access}: one LLC lookup of an access that missed
+    the private levels, returning [2] (LLC hit) or [3] (memory) and
+    leaving the outcome in {!llc_depth}.  [access t ~kind ~addr] is
+    [access_private] followed, on [2], by [access_llc]. *)
+
+val save_private : t -> (int -> unit) -> unit
+(** [save_private t put] hands the L1I, L1D and L2 states ({!Cache.save})
+    to [put], in that order. *)
+
+val restore_private : t -> (unit -> int) -> unit
+(** [restore_private t get] loads a {!save_private} state, read through
+    [get], into [t]'s private caches, statistics included. *)
+
 val llc_depth : t -> int  (* mppm: unit ways *)
 (** The LLC outcome code of the latest {!access}: [-1] if it never reached
     the LLC, [0] if it missed there, [d >= 1] if it hit at recency depth

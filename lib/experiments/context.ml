@@ -1,7 +1,9 @@
 module Rng = Mppm_util.Rng
 module Configs = Mppm_cache.Configs
+module Hierarchy = Mppm_cache.Hierarchy
 module Suite = Mppm_trace.Suite
 module Single_core = Mppm_simcore.Single_core
+module Private_stream = Mppm_simcore.Private_stream
 module Core_model = Mppm_simcore.Core_model
 module Multi_core = Mppm_multicore.Multi_core
 module Profile = Mppm_profile.Profile
@@ -14,12 +16,19 @@ module Registry = Mppm_obs.Registry
 module Pool = Mppm_pool.Pool
 module Single_flight = Mppm_pool.Single_flight
 
+(* A benchmark's recorded private stream: a checked file in the cache
+   directory, or the stream's bytes when the context has no directory. *)
+type stream = On_disk of string | In_memory of string
+
 type t = {
   scale : Scale.t;
   core : Core_model.params;
   seed : int;
   cache_dir : string option;
   profiles : (int * int, Profile.t) Single_flight.t;  (* (llc_config, bench) *)
+  streams : (int, stream * (int * Profile.t) option) Single_flight.t;
+      (* per benchmark: the stream, and the profile whose live build
+         recorded it, with its config *)
   offsets : int array;  (* per-core-slot address offsets *)
 }
 
@@ -35,6 +44,7 @@ let create ?(core = Core_model.default) ?(seed = 42) ?cache_dir scale =
     seed;
     cache_dir;
     profiles = Single_flight.create ~metric:"profile_cache" ();
+    streams = Single_flight.create ~metric:"stream_cache" ();
     offsets = Multi_core.default_offsets ~seed max_cores;
   }
 
@@ -75,14 +85,201 @@ let cache_path t ~llc_config bench_index =
            llc_config digest))
     t.cache_dir
 
-let compute_profile t ~llc_config bench_index =
+let compute_profile ?replay ?record t ~llc_config bench_index =
   let benchmark = Suite.all.(bench_index) in
-  Single_core.profile
+  Single_core.profile ?replay ?record
     (Single_core.config ~core:t.core (hierarchy t ~llc_config))
     ~benchmark
     ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
     ~trace_instructions:t.scale.Scale.trace_instructions
     ~interval_instructions:t.scale.Scale.interval_instructions
+
+(* ---- private streams -------------------------------------------------- *)
+
+(* The stream depends on the benchmark, its seed, the trace length and the
+   private levels, which all Table 2 configs share; not on the LLC or the
+   core model. *)
+let stream_path t bench_index =
+  Option.map
+    (fun dir ->
+      let benchmark = Suite.all.(bench_index) in
+      let h = hierarchy t ~llc_config:1 in
+      let digest =
+        Fingerprint.to_hex
+          (Fingerprint.of_value
+             ( benchmark,
+               (h.Hierarchy.l1i, h.Hierarchy.l1d, h.Hierarchy.l2),
+               t.scale.Scale.trace_instructions,
+               Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
+               Private_stream.format_version ))
+      in
+      Filename.concat dir
+        (Printf.sprintf "%s-stream-%s.stream" Suite.names.(bench_index) digest))
+    t.cache_dir
+
+(* A stored stream is its Private_stream bytes followed by a footer: their
+   digest and their length, 8 big-endian bytes each.  The bytes are
+   written and checked in blocks of [block_bytes] (the last one short),
+   and the digest folds each block's 8-byte words, then its last few
+   bytes, into a 64-bit multiply-xor hash, so writing and checking see the
+   same words. *)
+let footer_bytes = 16
+let block_bytes = 8192
+
+let fold_digest h buf len =
+  let h = ref h and words = len / 8 in
+  for i = 0 to words - 1 do
+    h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le buf (8 * i))) 0x100000001b3L
+  done;
+  for i = 8 * words to len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get buf i)))) 0x100000001b3L
+  done;
+  !h
+
+(* The FNV-1a 64 offset basis. *)
+let digest_basis = 0xcbf29ce484222325L
+
+let stream_reader t bench_index ~refill ~close =
+  let benchmark = Suite.all.(bench_index) in
+  match
+    Private_stream.reader ~benchmark
+      ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+      ~instructions:t.scale.Scale.trace_instructions
+      ~hierarchy:(hierarchy t ~llc_config:1) ~refill ~close
+  with
+  | r -> r
+  | exception e ->
+      close ();
+      raise e
+
+let open_stream t bench_index = function
+  | On_disk path ->
+      let ic = open_in_bin path in
+      stream_reader t bench_index ~refill:(input ic) ~close:(fun () ->
+          close_in ic)
+  | In_memory bytes ->
+      let pos = ref 0 in
+      stream_reader t bench_index
+        ~refill:(fun buf off len ->
+          let n = min len (String.length bytes - !pos) in
+          Bytes.blit_string bytes !pos buf off n;
+          pos := !pos + n;
+          n)
+        ~close:ignore
+
+(* Raises [Failure] unless [path] holds a length matching its footer, the
+   footer's digest, and a stream header (magic, format version, seed,
+   length, benchmark, private levels) for this benchmark and context. *)
+let check_stream t bench_index path =
+  let fail msg =
+    failwith (Printf.sprintf "Context.check_stream: %s: %s" path msg)
+  in
+  In_channel.with_open_bin path (fun ic ->
+      let size = Int64.to_int (In_channel.length ic) in
+      if size < footer_bytes then fail "too short";
+      let content = size - footer_bytes in
+      let block = Bytes.create block_bytes in
+      let rec fold h left =
+        if left = 0 then h
+        else begin
+          let n = min left block_bytes in
+          really_input ic block 0 n;
+          fold (fold_digest h block n) (left - n)
+        end
+      in
+      let digest = fold digest_basis content in
+      let footer = really_input_string ic footer_bytes in
+      if Int64.to_int (String.get_int64_be footer 8) <> content then
+        fail "length does not match the footer";
+      if not (Int64.equal (String.get_int64_be footer 0) digest) then
+        fail "digest mismatch";
+      seek_in ic 0;
+      Private_stream.close
+        (stream_reader t bench_index ~refill:(input ic) ~close:ignore))
+
+(* The live profile build that records benchmark [bench_index]'s stream as
+   it goes: to [path] (atomically, through a ".tmp" sibling) or into
+   memory. *)
+let record_stream t ~llc_config bench_index path =
+  let benchmark = Suite.all.(bench_index) in
+  let build write =
+    compute_profile t ~llc_config bench_index
+      ~record:
+        (Private_stream.recorder ~benchmark
+           ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+           ~instructions:t.scale.Scale.trace_instructions
+           ~hierarchy:(hierarchy t ~llc_config) ~write)
+  in
+  match path with
+  | None ->
+      let buf = Buffer.create 65536 in
+      let p = build (Buffer.add_subbytes buf) in
+      (In_memory (Buffer.contents buf), Some (llc_config, p))
+  | Some path ->
+      let tmp = path ^ ".tmp" in
+      let p =
+        Out_channel.with_open_bin tmp (fun oc ->
+            (* Whole blocks go out unbuffered: the channel then touches a
+               block's worth of its 64 KB C buffer instead of all of it,
+               and the GC frees a closed channel's buffer only when it
+               gets round to finalizing it. *)
+            Out_channel.set_buffered oc false;
+            let block = Bytes.create block_bytes in
+            let filled = ref 0 and digest = ref digest_basis and length = ref 0 in
+            let emit () =
+              digest := fold_digest !digest block !filled;
+              Out_channel.output oc block 0 !filled;
+              length := !length + !filled;
+              filled := 0
+            in
+            let rec write buf pos len =
+              let n = min len (block_bytes - !filled) in
+              Bytes.blit buf pos block !filled n;
+              filled := !filled + n;
+              if !filled = block_bytes then emit ();
+              if n < len then write buf (pos + n) (len - n)
+            in
+            let p = build write in
+            emit ();
+            let footer = Bytes.create footer_bytes in
+            Bytes.set_int64_be footer 0 !digest;
+            Bytes.set_int64_be footer 8 (Int64.of_int !length);
+            Out_channel.output_bytes oc footer;
+            p)
+      in
+      Sys.rename tmp path;
+      (On_disk path, Some (llc_config, p))
+
+(* Benchmark [bench_index]'s stream, memoized per context: a checked cache
+   file, or recorded by a live build of its [llc_config] profile, which
+   comes back with it.  A file that fails its check is a miss and is
+   recorded anew. *)
+let stream_entry t ~llc_config bench_index =
+  Single_flight.get t.streams bench_index (fun _ ->
+      match stream_path t bench_index with
+      | Some path when Sys.file_exists path -> (
+          match check_stream t bench_index path with
+          | () ->
+              Registry.incr "stream_cache.hits";
+              (On_disk path, None)
+          | exception Failure _ ->
+              Registry.incr "stream_cache.misses";
+              Registry.incr "stream_cache.corrupt";
+              record_stream t ~llc_config bench_index (Some path))
+      | path ->
+          Registry.incr "stream_cache.misses";
+          record_stream t ~llc_config bench_index path)
+
+(* The first build of a benchmark's profiles records its stream; every
+   other build replays it. *)
+let build_profile t ~llc_config bench_index =
+  match stream_entry t ~llc_config bench_index with
+  | _, Some (recorded_on, p) when Int.equal recorded_on llc_config -> p
+  | stream, _ ->
+      let replay = open_stream t bench_index stream in
+      Fun.protect
+        ~finally:(fun () -> Private_stream.close replay)
+        (fun () -> compute_profile t ~llc_config bench_index ~replay)
 
 (* Cache-directory entries for benchmark [bench_index] at [llc_config] whose
    fingerprint digest no longer matches: the human-readable
@@ -113,7 +310,7 @@ let profile t ~llc_config bench_index =
   if bench_index < 0 || bench_index >= Suite.count then
     invalid_arg "Context.profile: bad benchmark index";
   let recompute path =
-    let p = compute_profile t ~llc_config bench_index in
+    let p = build_profile t ~llc_config bench_index in
     Profile.save p path;
     p
   in
@@ -136,7 +333,7 @@ let profile t ~llc_config bench_index =
           recompute path
       | None ->
           Registry.incr "profile_cache.misses";
-          compute_profile t ~llc_config bench_index)
+          build_profile t ~llc_config bench_index)
 
 type cache_report = {
   cr_live : string list;
@@ -151,26 +348,31 @@ let scan_cache t =
       (* Basenames every (benchmark, Table 2 config) pair maps to under the
          current context settings. *)
       let live_names = Hashtbl.create ~random:false 128 in
-      for cfg = 1 to Configs.llc_config_count do
-        for i = 0 to Suite.count - 1 do
-          match cache_path t ~llc_config:cfg i with
-          | Some p -> Hashtbl.replace live_names (Filename.basename p) ()
-          | None -> ()
+      let live path =
+        Option.iter
+          (fun p -> Hashtbl.replace live_names (Filename.basename p) ())
+          path
+      in
+      for i = 0 to Suite.count - 1 do
+        live (stream_path t i);
+        for cfg = 1 to Configs.llc_config_count do
+          live (cache_path t ~llc_config:cfg i)
         done
       done;
+      (* "name-cfgN-<digest>.prof" profiles and "name-stream-<digest>.stream"
+         private streams. *)
       let recognized f =
-        Filename.check_suffix f ".prof"
-        && Array.exists
-             (fun name ->
-               let rec try_cfg cfg =
-                 cfg <= Configs.llc_config_count
-                 && (String.starts_with
-                       ~prefix:(Printf.sprintf "%s-cfg%d-" name cfg)
-                       f
-                    || try_cfg (cfg + 1))
-               in
-               try_cfg 1)
-             Suite.names
+        let named kind suffix =
+          Filename.check_suffix f suffix
+          && Array.exists
+               (fun name ->
+                 String.starts_with ~prefix:(Printf.sprintf "%s-%s-" name kind) f)
+               Suite.names
+        in
+        named "stream" ".stream"
+        || List.exists
+             (fun cfg -> named (Printf.sprintf "cfg%d" cfg) ".prof")
+             (List.init Configs.llc_config_count (fun c -> c + 1))
       in
       let files = Sys.readdir dir in
       Array.sort compare files;
@@ -242,13 +444,30 @@ let detailed ?llc_partition t ~llc_config mix =
         })
       indices
   in
+  (* The profiles first: building them records any stream not yet
+     stored, so every slot replays. *)
+  let m_cpi_single = cpi_single t ~llc_config mix in
+  let replays = Array.make (Array.length indices) None in
+  (try
+     Array.iteri
+       (fun slot i ->
+         replays.(slot) <-
+           Some (open_stream t i (fst (stream_entry t ~llc_config i))))
+       indices
+   with e ->
+     Array.iter (Option.iter Private_stream.close) replays;
+     raise e);
   let detail =
-    Multi_core.run
+    Multi_core.run ~replays
       (Multi_core.config ~core:t.core ?llc_partition (hierarchy t ~llc_config))
       ~programs:specs
       ~trace_instructions:t.scale.Scale.trace_instructions
   in
-  let m_cpi_single = cpi_single t ~llc_config mix in
+  (* Each slot's stream channel holds a 64 KB C buffer, filled on every
+     refill, that only the GC's finalizer frees; the channels were open for
+     the whole run, so finish the major cycle to keep a pass's worth of
+     them from piling up. *)
+  if Option.is_some t.cache_dir then Gc.major ();
   let m_cpi_multi =
     Array.map
       (fun p -> p.Multi_core.multicore_cpi)

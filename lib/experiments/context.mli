@@ -14,8 +14,9 @@ val create :
   Scale.t ->
   t
 (** [create scale] builds a context.  [cache_dir], when given, persists
-    single-core profiles across runs (they are the "one-time cost" of
-    Fig. 1).  [seed] (default 42) drives all sampling. *)
+    single-core profiles and private streams across runs (they are the
+    "one-time cost" of Fig. 1).  [seed] (default 42) drives all
+    sampling. *)
 
 val scale : t -> Scale.t
 (** The scale this context was created with. *)
@@ -51,19 +52,31 @@ val profile : t -> llc_config:int -> int -> Mppm_profile.Profile.t
     for the requested benchmark/config whose fingerprint digest no longer
     matches) and [corrupt] (a live entry {!Mppm_profile.Profile.load}
     rejected: it counts as a miss, and the recomputed profile replaces
-    the file atomically). *)
+    the file atomically).
+
+    A benchmark's first profile build runs live and records its private
+    stream ({!Mppm_simcore.Private_stream}: what its L1I, L1D and L2 did,
+    which no Table 2 config changes) in the same pass; its other builds,
+    and every {!detailed} slot, replay that stream, with bit-identical
+    results.  The stream is stored next to the profiles as
+    ["name-stream-<digest>.stream"] (in memory without a cache
+    directory) and counted under [stream_cache.*]: [memo_hits], [hits]
+    (a file passed its length, digest and header check), [misses]
+    (recorded) and [corrupt] (a file failed the check: a miss, and it is
+    recorded anew). *)
 
 (** Classification of a profile-cache directory's contents. *)
 type cache_report = {
   cr_live : string list;
-      (** basenames some (benchmark, Table 2 config) pair maps to under the
-          current context settings *)
+      (** basenames some (benchmark, Table 2 config) profile or some
+          benchmark's private stream maps to under the current context
+          settings *)
   cr_stale : string list;
-      (** recognized ["name-cfgN-*.prof"] entries whose fingerprint digest
-          matches no current benchmark/config pair *)
+      (** recognized ["name-cfgN-*.prof"] and ["name-stream-*.stream"]
+          entries whose fingerprint digest matches no current entry *)
   cr_tmp : string list;
       (** orphaned ["*.tmp"] staging files left by an interrupted atomic
-          profile write *)
+          profile or stream write *)
   cr_foreign : string list;  (** everything else in the directory *)
 }
 
@@ -105,7 +118,9 @@ val detailed :
 (** Runs the detailed multi-core simulator on the mix (program seeds match
     the profiling runs; per-slot address offsets are deterministic in the
     context seed).  [llc_partition] way-partitions the shared LLC per core
-    slot. *)
+    slot.  Every slot replays its benchmark's private stream for the first
+    pass and continues live past it (see {!profile}); the result equals an
+    all-live {!Mppm_multicore.Multi_core.run} bit for bit. *)
 
 val predict :
   ?obs:Mppm_obs.Trace.t ->

@@ -3,6 +3,7 @@ module Cache = Mppm_cache.Cache
 module Core_model = Mppm_simcore.Core_model
 module Core_engine = Mppm_simcore.Core_engine
 module Generator = Mppm_trace.Generator
+module Private_stream = Mppm_simcore.Private_stream
 
 type config = {
   hierarchy : Hierarchy.config;
@@ -57,7 +58,16 @@ let rec earliest (clocks : Core_engine.clock array) i best =
     earliest clocks (i + 1) i
   else earliest clocks (i + 1) best
 
-let run ?compute_scales cfg ~programs ~trace_instructions =
+let run ?compute_scales ?replays cfg ~programs ~trace_instructions =
+  let replay slot = match replays with Some r -> r.(slot) | None -> None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (Array.iter (Option.iter Private_stream.close)) replays)
+  @@ fun () ->
+  (match replays with
+  | Some r when Array.length r <> Array.length programs ->
+      invalid_arg "Multi_core.run: replays do not match the mix"
+  | Some _ | None -> ());
   if Array.length programs = 0 then invalid_arg "Multi_core.run: no programs";
   (match compute_scales with
   | Some scales when Array.length scales < Array.length programs ->
@@ -82,9 +92,7 @@ let run ?compute_scales cfg ~programs ~trace_instructions =
   let cores =
     Array.mapi
       (fun slot spec ->
-        let generator =
-          Generator.create ~offset:spec.offset ~seed:spec.seed spec.benchmark
-        in
+        let generator = Generator.create ~seed:spec.seed spec.benchmark in
         let hierarchy =
           Hierarchy.create ~llc:shared_llc ~llc_owner:slot cfg.hierarchy
         in
@@ -93,7 +101,8 @@ let run ?compute_scales cfg ~programs ~trace_instructions =
         in
         {
           engine =
-            Core_engine.create ?memory_channel ?compute_scale ~params:cfg.core
+            Core_engine.create ?memory_channel ?compute_scale
+              ~llc_offset:spec.offset ?replay:(replay slot) ~params:cfg.core
               ~hierarchy ~generator ();
           spec;
           first_pass_done = false;
@@ -144,7 +153,19 @@ let run ?compute_scales cfg ~programs ~trace_instructions =
   in
   (* End-of-run aggregates only: a coarse boundary, never the hot path. *)
   let module Registry = Mppm_obs.Registry in
+  let replayed =
+    trace_instructions
+    * Array.fold_left
+        (fun n r -> if Option.is_some r then n + 1 else n)
+        0
+        (Option.value replays ~default:[||])
+  in
+  let retired =
+    Array.fold_left (fun acc p -> acc + p.total_retired) 0 programs
+  in
   Registry.incr "multicore.runs";
+  Registry.add "multicore.replayed_instructions" (float_of_int replayed);
+  Registry.add "multicore.live_instructions" (float_of_int (retired - replayed));
   Registry.add "multicore.wall_cycles" wall_cycles;
   Registry.add "multicore.shared_llc.accesses"
     (float_of_int (Cache.accesses shared_llc));

@@ -58,6 +58,7 @@ type result = {
 
 val run :  (* mppm: unit result *)
   ?compute_scales:float array ->
+  ?replays:Mppm_simcore.Private_stream.reader option array ->
   config ->
   programs:program_spec array ->
   trace_instructions:int ->
@@ -66,7 +67,18 @@ val run :  (* mppm: unit result *)
     every program has completed [trace_instructions] instructions.
     [compute_scales], when given, makes the machine heterogeneous: core
     [i]'s non-memory cycle costs are multiplied by [compute_scales.(i)]
-    (1.0 = the baseline "big" core; see {!Mppm_simcore.Core_engine}). *)
+    (1.0 = the baseline "big" core; see {!Mppm_simcore.Core_engine}).
+
+    Each program's offset is applied at the LLC boundary
+    ({!Mppm_simcore.Core_engine.create} [~llc_offset]), so it must be
+    line-aligned, as {!default_offsets} are.  [replays.(i)], when [Some],
+    is a recorded private stream of program [i] ({!Mppm_simcore.Private_stream})
+    of length [trace_instructions]: core [i] replays its first pass and
+    continues live from the stream's trailer, with results bit-identical
+    to a live run.  [run] closes every reader it is given.  The end-of-run
+    counters [multicore.replayed_instructions] and
+    [multicore.live_instructions] split the retired instructions by
+    source. *)
 
 val default_offsets : ?seed:int -> int -> int array  (* mppm: unit seed:1 -> programs -> bytes *)
 (** [default_offsets ~seed n] is [n] address-space offsets that (a) are

@@ -12,6 +12,14 @@ type t = {
   params : Core_model.params;
   hierarchy : Hierarchy.t;
   generator : Generator.t;
+  llc_offset : int;
+  (* The front end's source: a replayed private stream up to its recorded
+     length, else the generator and the private caches, teeing into a
+     recorder until its recorded length. *)
+  mutable replay : Private_stream.reader option;
+  mutable record : Private_stream.recorder option;
+  mutable stream_end : int;  (* the stream's recorded length; max_int without one *)
+  mutable retired : int;
   sdc_profiler : Sdc_profiler.t option;
   memory_channel : Memory_channel.t option;
   compute_scale : float;
@@ -20,18 +28,48 @@ type t = {
   mutable fetch_debt : int;
 }
 
-let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0) ~params
-    ~hierarchy ~generator () =
+let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0)
+    ?(llc_offset = 0) ?replay ?record ~params ~hierarchy ~generator () =
   if compute_scale <= 0.0 then
     invalid_arg "Core_engine.create: compute_scale <= 0";
+  let config = Hierarchy.config hierarchy in
+  let benchmark = Generator.benchmark generator in
+  let aligned (level : Hierarchy.level) =
+    llc_offset mod level.Hierarchy.geometry.Mppm_cache.Geometry.line_bytes = 0
+  in
+  if
+    not
+      (aligned config.Hierarchy.l1i && aligned config.Hierarchy.l1d
+     && aligned config.Hierarchy.l2)
+  then invalid_arg "Core_engine.create: llc_offset is not line-aligned";
+  (match (replay, record) with
+  | Some _, Some _ -> invalid_arg "Core_engine.create: both replay and record"
+  | Some r, None ->
+      if not (Private_stream.matches r ~benchmark ~hierarchy:config) then
+        invalid_arg "Core_engine.create: stream of another benchmark or hierarchy"
+  | None, _ -> ());
+  if
+    (Option.is_some replay || Option.is_some record)
+    && Generator.retired generator <> 0
+  then
+    invalid_arg "Core_engine.create: a streamed core needs a fresh generator";
   {
     params;
     hierarchy;
     generator;
+    llc_offset;
+    replay;
+    record;
+    stream_end =
+      (match (replay, record) with
+      | Some r, _ -> Private_stream.recorded_end r
+      | None, Some w -> Private_stream.recorded_length w
+      | None, None -> max_int);
+    retired = Generator.retired generator;
     sdc_profiler;
     memory_channel;
     compute_scale;
-    stalls = Core_model.stalls params (Hierarchy.config hierarchy);
+    stalls = Core_model.stalls params config;
     clock = { cycles = 0.0; memory_stall_cycles = 0.0 };
     fetch_debt = 0;
   }
@@ -44,6 +82,52 @@ let note_llc t level =
     | Some profiler ->
         Sdc_profiler.record profiler (Hierarchy.llc_depth t.hierarchy)
     | None -> ()
+
+(* The shared half of an access that missed the private levels: the slot
+   offset applies here, so private state is the same at every slot. *)
+(* mppm: unit _ -- level code: 2 = LLC hit, 3 = memory *)
+let llc_level t addr =
+  let level = Hierarchy.access_llc t.hierarchy ~addr:(addr + t.llc_offset) in
+  note_llc t level;
+  level
+
+(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = LLC, 3 = memory *)
+let fetch_level t =
+  match t.replay with
+  | Some r -> (
+      match Private_stream.take_fetch r with
+      | 2 -> llc_level t (Private_stream.addr r)
+      | level -> level)
+  | None -> (
+      let addr = Generator.next_fetch t.generator in
+      let level =
+        Hierarchy.access_private t.hierarchy ~kind:Hierarchy.Fetch ~addr
+      in
+      (match t.record with
+      | Some w -> Private_stream.record_fetch w ~level ~addr
+      | None -> ());
+      match level with 2 -> llc_level t addr | level -> level)
+
+(* mppm: unit _ -- level code: 0 = L1, 1 = L2, 2 = LLC, 3 = memory *)
+let data_level t kind =
+  match t.replay with
+  | Some r -> (
+      match Private_stream.take_access r with
+      | 2 -> llc_level t (Private_stream.addr r)
+      | level -> level)
+  | None -> (
+      let addr = Generator.emitted_addr t.generator in
+      let level =
+        Hierarchy.access_private t.hierarchy
+          ~kind:(match kind with 2 -> Hierarchy.Store | _ -> Hierarchy.Load)
+          ~addr
+      in
+      (match t.record with
+      | Some w ->
+          Private_stream.record_access w ~position:t.retired
+            ~store:(Int.equal kind 2) ~level ~addr
+      | None -> ());
+      match level with 2 -> llc_level t addr | level -> level)
 
 (* Queueing delay of an LLC miss on the shared memory channel, exposed the
    same way the raw miss latency is. *)
@@ -58,10 +142,7 @@ let issue_fetches t count =
   let clock = t.clock and stalls = t.stalls in
   while t.fetch_debt >= Generator.instructions_per_fetch do
     t.fetch_debt <- t.fetch_debt - Generator.instructions_per_fetch;
-    let addr = Generator.next_fetch t.generator in
-    let level = Hierarchy.access t.hierarchy ~kind:Hierarchy.Fetch ~addr in
-    note_llc t level;
-    match level with
+    match fetch_level t with
     | 3 ->
         (* Split the stall: the part an LLC hit would also have suffered
            scales with the core; the off-chip extra and the channel's
@@ -77,30 +158,65 @@ let issue_fetches t count =
           +. miss_extra +. queueing;
         clock.memory_stall_cycles <-
           clock.memory_stall_cycles +. miss_extra +. queueing
-    | _ ->
+    | level ->
         clock.cycles <-
           clock.cycles +. (t.compute_scale *. stalls.Core_model.fetch.(level))
   done
+
+(* At the recorded length a recorder gets the engine's state as its
+   trailer, and a replayed core takes that state over and goes on live. *)
+let end_of_stream t =
+  t.stream_end <- max_int;
+  (match t.record with
+  | Some w ->
+      t.record <- None;
+      Private_stream.finish_recording w ~trailer:(fun put ->
+          put t.fetch_debt;
+          Generator.save t.generator put;
+          Hierarchy.save_private t.hierarchy put)
+  | None -> ());
+  match t.replay with
+  | Some r ->
+      t.replay <- None;
+      let get () = Private_stream.trailer_int r in
+      if get () <> t.fetch_debt then
+        failwith "Core_engine.step: stream trailer does not fit this core";
+      Generator.restore t.generator get;
+      Hierarchy.restore_private t.hierarchy get;
+      Private_stream.finish_replay r
+  | None -> ()
 
 (* mppm: hot — per-instruction simulator step *)
 let step t ~cap =
   let clock = t.clock in
   let cycles_before = clock.cycles in
-  let phase = Generator.current_phase t.generator in
-  let instructions = Generator.emit t.generator ~cap in
+  let phase =
+    match t.replay with
+    | Some r -> Private_stream.current_phase r
+    | None -> Generator.current_phase t.generator
+  in
+  if cap > t.stream_end - t.retired then
+    invalid_arg "Core_engine.step: cap runs past the recorded length";
+  let instructions =
+    match t.replay with
+    | Some r -> Private_stream.emit r ~cap
+    | None -> Generator.emit t.generator ~cap
+  in
+  t.retired <- t.retired + instructions;
   clock.cycles <-
     clock.cycles
     +. (t.compute_scale
        *. float_of_int instructions
        *. phase.Benchmark.base_cpi);
   issue_fetches t instructions;
-  (match Generator.emitted_kind t.generator with
+  (match
+     match t.replay with
+     | Some r -> Private_stream.emitted_kind r
+     | None -> Generator.emitted_kind t.generator
+   with
   | 0 -> ()
   | kind ->
-      let kind = match kind with 2 -> Hierarchy.Store | _ -> Hierarchy.Load in
-      let addr = Generator.emitted_addr t.generator in
-      let level = Hierarchy.access t.hierarchy ~kind ~addr in
-      note_llc t level;
+      let level = data_level t kind in
       let data = t.stalls.Core_model.data in
       let mlp = phase.Benchmark.mlp in
       (match level with
@@ -118,6 +234,9 @@ let step t ~cap =
             +. miss_extra +. queueing;
           clock.memory_stall_cycles <-
             clock.memory_stall_cycles +. miss_extra +. queueing));
+  if Int.equal t.retired t.stream_end then
+    (* mppm: cold — once per run, at the recorded length *)
+    end_of_stream t;
   if Invariant.enabled () then begin
     Invariant.checkf "simcore.cycles_monotone" (clock.cycles >= cycles_before)
       (fun () ->
@@ -129,7 +248,8 @@ let step t ~cap =
   end;
   instructions
 
-let retired t = Generator.retired t.generator
+let retired t = t.retired
+
 let hierarchy t = t.hierarchy
 let clock t = t.clock
 let cycles t = t.clock.cycles

@@ -2,7 +2,18 @@
     shared by the single-core profiler and the detailed multi-core
     simulator.
 
-    The engine pulls blocks from a generator ({!Mppm_trace.Generator.emit}),
+    The engine's front end is a source: either live — a generator
+    ({!Mppm_trace.Generator.emit}) feeding the private caches, optionally
+    teeing their outcomes into a {!Private_stream.recorder} — or a
+    {!Private_stream.reader} replaying such a recording, which hands back
+    the same blocks, fetch and data level codes and LLC-bound addresses
+    without running the generator or the L1/L2.  Both feed the same clock
+    arithmetic, so a replayed core's counters equal a live one's bit for
+    bit.  At the recorded length a replayed core loads the recording's
+    trailer (generator, fetch debt and private-cache state) and goes on
+    live.
+
+    The engine pulls blocks from its source,
     charges base CPI for every retired instruction, issues one instruction
     fetch per {!Mppm_trace.Generator.instructions_per_fetch} instructions,
     sends
@@ -32,6 +43,9 @@ val create :
   ?sdc_profiler:Mppm_cache.Sdc_profiler.t ->
   ?memory_channel:Memory_channel.t ->
   ?compute_scale:float ->
+  ?llc_offset:int ->
+  ?replay:Private_stream.reader ->
+  ?record:Private_stream.recorder ->
   params:Core_model.params ->
   hierarchy:Mppm_cache.Hierarchy.t ->
   generator:Mppm_trace.Generator.t ->
@@ -50,7 +64,22 @@ val create :
     multiplies every cycle cost {e except} the LLC-miss-attributable stall
     (off-chip latency does not change with core strength).  This matches
     the profile transformation little cores get on the MPPM side: compute
-    cycles scale, memory-stall cycles do not. *)
+    cycles scale, memory-stall cycles do not.
+
+    [llc_offset] (default 0) is added to every address at the LLC
+    boundary only: the multi-core simulator's slot offset, applied where
+    it matters (shared-cache sets) and nowhere else, so the private caches
+    see the same addresses at every slot.  It must be a multiple of the
+    private caches' line size, which makes it the same as offsetting the
+    generator.
+
+    [replay] makes the core replay a recorded private stream of
+    [generator]'s benchmark up to its recorded length, then continue live
+    with [generator] (which must be fresh) restored from the stream's
+    trailer.  [record] tees the live run into a recorder, which gets its
+    trailer when the core reaches the recorded length.  While a stream is
+    being replayed or recorded, {!step}'s [cap] must not run past the
+    recorded length. *)
 
 val step : t -> cap:int -> int  (* mppm: unit cap:insns -> insns *)
 (** [step t ~cap] executes the next op block, retiring at most [cap]

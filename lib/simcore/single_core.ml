@@ -35,9 +35,9 @@ type totals = {
   llc_misses : int;
 }
 
-let build_engine ?sdc_profiler ?(offset = 0) ?compute_scale cfg ~benchmark
-    ~seed =
-  let generator = Generator.create ~offset ~seed benchmark in
+let build_engine ?sdc_profiler ?offset ?compute_scale ?replay ?record cfg
+    ~benchmark ~seed =
+  let generator = Generator.create ~seed benchmark in
   let hierarchy = Hierarchy.create ~perfect_llc:cfg.perfect_llc cfg.hierarchy in
   let memory_channel =
     Option.map
@@ -45,7 +45,8 @@ let build_engine ?sdc_profiler ?(offset = 0) ?compute_scale cfg ~benchmark
       cfg.bandwidth
   in
   Core_engine.create ?sdc_profiler ?memory_channel ?compute_scale
-    ~params:cfg.core ~hierarchy ~generator ()
+    ?llc_offset:offset ?replay ?record ~params:cfg.core ~hierarchy ~generator
+    ()
 
 let run ?offset ?compute_scale cfg ~benchmark ~seed ~instructions =
   if instructions <= 0 then invalid_arg "Single_core.run: instructions <= 0";
@@ -68,8 +69,8 @@ let run ?offset ?compute_scale cfg ~benchmark ~seed ~instructions =
     llc_misses = Core_engine.llc_misses engine;
   }
 
-let profile ?offset ?compute_scale cfg ~benchmark ~seed ~trace_instructions
-    ~interval_instructions =
+let profile ?offset ?compute_scale ?replay ?record cfg ~benchmark ~seed
+    ~trace_instructions ~interval_instructions =
   if cfg.perfect_llc then
     invalid_arg "Single_core.profile: profiling requires a real LLC";
   if
@@ -82,7 +83,8 @@ let profile ?offset ?compute_scale cfg ~benchmark ~seed ~trace_instructions
        interval length";
   let sdc_profiler = Sdc_profiler.create cfg.hierarchy.Hierarchy.llc.geometry in
   let engine =
-    build_engine ~sdc_profiler ?offset ?compute_scale cfg ~benchmark ~seed
+    build_engine ~sdc_profiler ?offset ?compute_scale ?replay ?record cfg
+      ~benchmark ~seed
   in
   let n_intervals = trace_instructions / interval_instructions in
   let intervals =

@@ -50,11 +50,14 @@ val run :  (* mppm: unit offset:bytes -> seed:1 -> instructions:insns -> totals 
     isolation for [instructions] instructions and returns aggregate
     numbers.  With [perfect_llc = true], [memory_cpi] and [llc_misses] are
     zero by construction.  [compute_scale] models a heterogeneous "little"
-    core (see {!Core_engine.create}). *)
+    core and [offset] (line-aligned) displaces the program's addresses at
+    the LLC (see {!Core_engine.create}). *)
 
 val profile :  (* mppm: unit offset:bytes -> seed:1 -> trace_instructions:insns -> interval_instructions:insns -> profile *)
   ?offset:int ->
   ?compute_scale:float ->
+  ?replay:Private_stream.reader ->
+  ?record:Private_stream.recorder ->
   run_config ->
   benchmark:Mppm_trace.Benchmark.t ->
   seed:int ->
@@ -65,7 +68,12 @@ val profile :  (* mppm: unit offset:bytes -> seed:1 -> trace_instructions:insns 
     ~interval_instructions] collects the per-interval MPPM profile.
     [trace_instructions] must be a positive multiple of
     [interval_instructions].  [config.perfect_llc] must be [false] (a
-    perfect-LLC profile has no SDC content). *)
+    perfect-LLC profile has no SDC content).
+
+    [record] tees the run's private stream into a recorder of length
+    [trace_instructions]; [replay] builds the profile from such a stream
+    instead of the generator and private caches, with the same result bit
+    for bit (see {!Core_engine.create}). *)
 
 val memory_cpi_two_run :  (* mppm: unit offset:bytes -> seed:1 -> instructions:insns -> cycles/insns *)
   ?offset:int ->

@@ -34,6 +34,7 @@ type t = {
          relative to [next_fetch]. *)
   offset : int;
   phases : phase_state array;
+  regions : region_state array;  (* each distinct region once, laid-out order *)
   mutable phase_idx : int;
   mutable phase_remaining : int;
   mutable retired : int;
@@ -62,6 +63,7 @@ let create ?(offset = 0) ~seed bench =
      name) page-aligned, in first-appearance order. *)
   let next_free = ref (round_to_page bench.Benchmark.code_bytes) in
   let shared_states : (string, region_state) Hashtbl.t = Hashtbl.create ~random:false 16 in
+  let laid_out = ref [] in
   let state_for (region : Benchmark.region) =
     match Hashtbl.find_opt shared_states region.Benchmark.region_name with
     | Some st -> st
@@ -72,6 +74,7 @@ let create ?(offset = 0) ~seed bench =
           { region; base; lines = lines_in region.Benchmark.size_bytes; cursor = 0 }
         in
         Hashtbl.add shared_states region.Benchmark.region_name st;
+        laid_out := st :: !laid_out;
         st
   in
   let phases =
@@ -105,6 +108,7 @@ let create ?(offset = 0) ~seed bench =
     fetch_rng;
     offset;
     phases;
+    regions = Array.of_list (List.rev !laid_out);
     phase_idx = 0;
     phase_remaining = phases.(0).duration;
     retired = 0;
@@ -119,6 +123,42 @@ let create ?(offset = 0) ~seed bench =
   }
 
 let benchmark t = t.bench
+
+(* The float [pending_ratio] travels as its IEEE bits in two 32-bit
+   halves, so the state is a plain int sequence. *)
+let save t put =
+  let ratio = Int64.bits_of_float t.pending_ratio in
+  Mppm_util.Rng.save t.rng put;
+  Mppm_util.Rng.save t.fetch_rng put;
+  put t.phase_idx;
+  put t.phase_remaining;
+  put t.retired;
+  put t.pending_gap;
+  put (Bool.to_int t.pending_valid);
+  put (Int64.to_int (Int64.shift_right_logical ratio 32));
+  put (Int64.to_int (Int64.logand ratio 0xFFFF_FFFFL));
+  put t.fetch_cursor;
+  Array.iter (fun st -> put st.cursor) t.regions
+
+let restore t get =
+  Mppm_util.Rng.restore t.rng get;
+  Mppm_util.Rng.restore t.fetch_rng get;
+  let phase_idx = get () in
+  if phase_idx < 0 || phase_idx >= Array.length t.phases then
+    invalid_arg "Generator.restore: phase index out of range";
+  t.phase_idx <- phase_idx;
+  t.phase_remaining <- get ();
+  t.retired <- get ();
+  t.pending_gap <- get ();
+  t.pending_valid <- get () <> 0;
+  let hi = get () in
+  let lo = get () in
+  t.pending_ratio <-
+    Int64.float_of_bits
+      (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo));
+  t.fetch_cursor <- get ();
+  Array.iter (fun st -> st.cursor <- get ()) t.regions
+
 let retired t = t.retired
 let current_phase t = t.phases.(t.phase_idx).phase
 let address_space_bytes t = t.address_space_bytes

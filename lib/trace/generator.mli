@@ -21,12 +21,23 @@ val instructions_per_fetch : int
 val create : ?offset:int -> seed:int -> Benchmark.t -> t
 (** [create ~offset ~seed benchmark] validates the benchmark and builds a
     fresh generator.  [offset] (default 0) displaces the whole address
-    space; the multi-core simulator gives each co-running program a
-    distinct, page-randomized offset so independent programs never share
-    lines yet still conflict in the shared cache's sets. *)
+    space.  The simulators leave it at 0 and apply a program's slot offset
+    at the LLC instead ({!Mppm_simcore.Core_engine.create}), which for a
+    line-aligned offset gives the same outcomes. *)
 
 val benchmark : t -> Benchmark.t
 (** The spec this generator was created from. *)
+
+val save : t -> (int -> unit) -> unit
+(** [save t put] hands the generator's whole mutable state (both PRNG
+    streams, phase position, pending access, cursors) to [put], int by
+    int. *)
+
+val restore : t -> (unit -> int) -> unit
+(** [restore t get] puts [t], a generator of the same benchmark, into a
+    state {!save} produced, read through [get]: from then on it emits
+    exactly what the saved generator would have (the offset stays [t]'s
+    own). *)
 
 val retired : t -> int
 (** Instructions retired through {!next} so far. *)

@@ -22,6 +22,16 @@ let create ~seed =
   { a; b = s2 lor 1 }
 
 let copy t = { a = t.a; b = t.b }
+let save t put =
+  put t.a;
+  put t.b
+
+let restore t get =
+  let a = get () in
+  let b = get () in
+  if a = 0 && b = 0 then invalid_arg "Rng.restore: not a saved state";
+  t.a <- a;
+  t.b <- b
 
 (* mppm: unit _ -- raw xorshift bits carry no unit *)
 let next t =

@@ -15,6 +15,14 @@ val create : seed:int -> t
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 
+val save : t -> (int -> unit) -> unit
+(** [save t put] hands the generator's state to [put], as two ints. *)
+
+val restore : t -> (unit -> int) -> unit
+(** [restore t get] sets [t] to a state {!save} produced, read through
+    [get], so [t] goes on drawing exactly what the saved generator would
+    have. *)
+
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  Streams
     obtained by successive splits are statistically independent; use one

@@ -66,9 +66,13 @@ let test_context_corrupt_cache_entry () =
   Sys.remove dir;
   ignore (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:1 3);
   let path =
-    match Sys.readdir dir with
-    | [| f |] -> Filename.concat dir f
-    | fs -> Alcotest.failf "expected one cache file, found %d" (Array.length fs)
+    match
+      List.filter
+        (fun f -> Filename.check_suffix f ".prof")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one profile file, found %d" (List.length fs)
   in
   let bytes () = In_channel.with_open_bin path In_channel.input_all in
   let good = bytes () in
@@ -98,6 +102,141 @@ let test_context_corrupt_cache_entry () =
     ];
   Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
   Sys.rmdir dir
+
+let fresh_dir () =
+  let dir = Filename.temp_file "mppm-cache" "" in
+  Sys.remove dir;
+  dir
+
+let remove_dir dir =
+  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Sys.rmdir dir
+
+let profile_bytes p =
+  let path = Filename.temp_file "mppm-profile" ".prof" in
+  Profile.save p path;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  bytes
+
+(* The first build of a benchmark's profiles records its private stream;
+   the other five configs replay it, from disk or from memory.  Every
+   profile is byte-identical to a plain live build. *)
+let test_context_replayed_profiles_identical () =
+  let dir = fresh_dir () in
+  let on_disk = make_ctx ~cache_dir:dir () and in_memory = make_ctx () in
+  List.iter
+    (fun bench ->
+      let benchmark = Mppm_trace.Suite.all.(bench) in
+      for llc_config = 1 to Mppm_cache.Configs.llc_config_count do
+        let live =
+          Mppm_simcore.Single_core.profile
+            (Mppm_simcore.Single_core.config
+               (Context.hierarchy on_disk ~llc_config))
+            ~benchmark
+            ~seed:(Mppm_trace.Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+            ~trace_instructions:tiny_scale.Scale.trace_instructions
+            ~interval_instructions:tiny_scale.Scale.interval_instructions
+        in
+        List.iter
+          (fun (where, ctx) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, config %d, %s" benchmark.Mppm_trace.Benchmark.name
+                 llc_config where)
+              (profile_bytes live)
+              (profile_bytes (Context.profile ctx ~llc_config bench)))
+          [ ("disk", on_disk); ("memory", in_memory) ]
+      done)
+    [ 3; 17 ];
+  remove_dir dir
+
+let stream_file dir =
+  match
+    List.filter
+      (fun f -> Filename.check_suffix f ".stream")
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [ f ] -> Filename.concat dir f
+  | fs -> Alcotest.failf "expected one stream file, found %d" (List.length fs)
+
+(* A stream file that fails its check (length, digest, header) is a miss:
+   it is recorded anew by the requesting build, byte for byte as before,
+   and counted under stream_cache.corrupt; the profiles do not change. *)
+let test_context_corrupt_stream () =
+  let dir = fresh_dir () in
+  let want = profile_bytes (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:2 3) in
+  let path = stream_file dir in
+  let bytes () = In_channel.with_open_bin path In_channel.input_all in
+  let good = bytes () in
+  let flip k s =
+    String.mapi (fun i c -> if i = k then Char.chr (Char.code c lxor 0x10) else c) s
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (corrupt good));
+      Sys.readdir dir
+      |> Array.iter (fun f ->
+             if Filename.check_suffix f ".prof" then Sys.remove (Filename.concat dir f));
+      let count key = Mppm_obs.Registry.get ("stream_cache." ^ key) in
+      let corrupt_before = count "corrupt" and misses_before = count "misses" in
+      let p = Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:4 3 in
+      check_close 0.0 (what ^ ": counted corrupt") 1.0 (count "corrupt" -. corrupt_before);
+      check_close 0.0 (what ^ ": counted a miss") 1.0 (count "misses" -. misses_before);
+      Alcotest.(check string) (what ^ ": file re-recorded") good (bytes ());
+      let replayed = make_ctx ~cache_dir:dir () in
+      Alcotest.(check string) (what ^ ": replayed profile unchanged") want
+        (profile_bytes (Context.profile replayed ~llc_config:2 3));
+      ignore p)
+    [
+      ("truncated", fun s -> String.sub s 0 (String.length s - 100));
+      ("flipped byte", fun s -> flip (String.length s / 2) s);
+      ("flipped header byte", fun s -> flip 3 s);
+    ];
+  let hits = Mppm_obs.Registry.get "stream_cache.hits" in
+  ignore (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:5 3);
+  check_close 0.0 "an intact stream is a hit" 1.0
+    (Mppm_obs.Registry.get "stream_cache.hits" -. hits);
+  remove_dir dir
+
+(* cache stats/prune: profiles and private streams are live, stale or
+   orphaned .tmp under the same name-...-digest scheme; anything else is
+   foreign, and prune leaves live and foreign files alone. *)
+let test_context_scan_cache () =
+  let dir = fresh_dir () in
+  let ctx = make_ctx ~cache_dir:dir () in
+  ignore (Context.profile ctx ~llc_config:1 3);
+  ignore (Context.profile ctx ~llc_config:2 3);
+  let name = Mppm_trace.Suite.names.(3) in
+  let plant f = Out_channel.with_open_bin (Filename.concat dir f) ignore in
+  let stale_profile = name ^ "-cfg1-0000000000000000.prof"
+  and stale_stream = name ^ "-stream-0000000000000000.stream"
+  and tmp = Filename.basename (stream_file dir) ^ ".tmp" in
+  List.iter plant [ stale_profile; stale_stream; tmp; "notes.txt" ];
+  let report =
+    match Context.scan_cache ctx with
+    | Some r -> r
+    | None -> Alcotest.fail "no report for a cache directory"
+  in
+  let sorted = List.sort compare in
+  Alcotest.(check (list string)) "live"
+    (sorted
+       (List.filter_map
+          (fun f ->
+            if Filename.check_suffix f ".prof" || Filename.check_suffix f ".stream"
+            then if List.mem f [ stale_profile; stale_stream ] then None else Some f
+            else None)
+          (Array.to_list (Sys.readdir dir))))
+    report.Context.cr_live;
+  Alcotest.(check int) "two profiles and a stream live" 3
+    (List.length report.Context.cr_live);
+  Alcotest.(check (list string)) "stale" (sorted [ stale_profile; stale_stream ])
+    report.Context.cr_stale;
+  Alcotest.(check (list string)) "tmp" [ tmp ] report.Context.cr_tmp;
+  Alcotest.(check (list string)) "foreign" [ "notes.txt" ] report.Context.cr_foreign;
+  Alcotest.(check (list string)) "prune" (sorted [ stale_profile; stale_stream; tmp ])
+    (sorted (Context.prune_cache ctx));
+  Alcotest.(check int) "left behind" 4 (Array.length (Sys.readdir dir));
+  remove_dir dir
 
 let test_context_rng_purposes () =
   let ctx = make_ctx () in
@@ -281,6 +420,12 @@ let tests =
         Alcotest.test_case "disk cache roundtrip" `Quick test_context_disk_cache_roundtrip;
         Alcotest.test_case "corrupt cache entry recomputed" `Quick
           test_context_corrupt_cache_entry;
+        Alcotest.test_case "replayed profiles byte-identical" `Quick
+          test_context_replayed_profiles_identical;
+        Alcotest.test_case "corrupt stream re-recorded" `Quick
+          test_context_corrupt_stream;
+        Alcotest.test_case "cache scan classifies streams" `Quick
+          test_context_scan_cache;
         Alcotest.test_case "rng purposes" `Quick test_context_rng_purposes;
         Alcotest.test_case "measured view" `Quick test_context_measured_view;
         Alcotest.test_case "predicted view" `Quick test_context_predict_view;
