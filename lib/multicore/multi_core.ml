@@ -65,7 +65,13 @@ let run ?compute_scales ?replays cfg ~programs ~trace_instructions =
       Option.iter (Array.iter (Option.iter Private_stream.close)) replays)
   @@ fun () ->
   (match replays with
-  | Some r when Array.length r <> Array.length programs ->
+  | Some r
+    when Array.length r <> Array.length programs
+         || Array.exists
+              (function
+                | Some r -> Private_stream.recorded_end r <> trace_instructions
+                | None -> false)
+              r ->
       invalid_arg "Multi_core.run: replays do not match the mix"
   | Some _ | None -> ());
   if Array.length programs = 0 then invalid_arg "Multi_core.run: no programs";
