@@ -8,7 +8,10 @@
      compare              predict + simulate + error report for a mix
      population           combinatorics of the mix population
      rank                 rank the six LLC configs with MPPM
+     categories           classify the suite into MEM/COMP categories
      cache                profile-cache statistics and pruning
+     trace-stats          replay a benchmark's LLC-bound references
+                          through an LLC of any geometry
      trace-report         render a recorded model event trace
      client               send queries to a running mppmd daemon
 
@@ -40,12 +43,11 @@ let std = Format.std_formatter
 
 type common = { ctx : Context.t; llc_config : int }
 
-let make_common trace seed cache_dir llc_config =
-  { ctx = Context.create ~seed ~cache_dir (Scale.of_trace trace); llc_config }
-
 open Cmdliner
 
-let common_term =
+(* --length/--seed/--cache: the context every subcommand but the wire
+   client runs in. *)
+let context_term =
   let trace =
     Arg.(
       value & opt int 2_000_000
@@ -60,12 +62,19 @@ let common_term =
       & opt string "_profile_cache"
       & info [ "cache" ] ~doc:"Profile cache directory.")
   in
+  let create trace seed cache_dir =
+    Context.create ~seed ~cache_dir (Scale.of_trace trace)
+  in
+  Term.(const create $ trace $ seed $ cache_dir)
+
+let common_term =
   let llc_config =
     Arg.(
       value & opt int 1
       & info [ "config" ] ~doc:"LLC configuration, 1..6 (Table 2).")
   in
-  Term.(const make_common $ trace $ seed $ cache_dir $ llc_config)
+  Term.(const (fun ctx llc_config -> { ctx; llc_config })
+        $ context_term $ llc_config)
 
 let mix_arg =
   Arg.(
@@ -84,6 +93,16 @@ let parse_mixes names =
   match Dispatch.parse_mixes names with
   | Result.Ok mixes -> mixes
   | Result.Error (_, msg) -> failwith msg
+
+let bench_index name =
+  match Suite.index name with
+  | i -> i
+  | exception Not_found ->
+      failwith
+        (Printf.sprintf
+           "Mppm.bench_index: unknown benchmark %S (run 'mppm suite' for \
+            the 29 names)"
+           name)
 
 let jobs_term =
   Arg.(
@@ -189,8 +208,10 @@ let profile_cmd =
     let names = if names = [ "all" ] then Array.to_list Suite.names else names in
     List.iter
       (fun name ->
-        let index = Suite.index name in
-        let p = Context.profile common.ctx ~llc_config:common.llc_config index in
+        let p =
+          Context.profile common.ctx ~llc_config:common.llc_config
+            (bench_index name)
+        in
         Format.fprintf std "%a@." Profile.pp_summary p)
       names
   in
@@ -337,89 +358,65 @@ let categories_cmd =
 
 (* ---- traces -------------------------------------------------------------- *)
 
-let trace_record_cmd =
-  let run name path accesses seed =
-    let generator =
-      Mppm_trace.Generator.create ~seed (Suite.find name)
-    in
-    let meta =
-      Mppm_trace.Trace_file.record ~path ~generator ~accesses ()
-    in
-    Format.fprintf std "recorded %d references (%d instructions) of %s to %s@."
-      meta.Mppm_trace.Trace_file.accesses
-      meta.Mppm_trace.Trace_file.instructions
-      meta.Mppm_trace.Trace_file.benchmark path
-  in
-  let bench_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK")
-  in
-  let path = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE") in
-  let accesses =
-    Arg.(
-      value & opt int 100_000
-      & info [ "accesses" ] ~doc:"References to record.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
-  Cmd.v
-    (Cmd.info "trace-record"
-       ~doc:"Record a benchmark's memory-reference trace to a file.")
-    Term.(const run $ bench_arg $ path $ accesses $ seed)
-
 let trace_stats_cmd =
-  let run path size_kb assoc =
+  let run ctx bench size_kb assoc =
     let geometry =
       Mppm_cache.Geometry.make
         ~size_bytes:(Mppm_cache.Geometry.kib size_kb)
-        ~line_bytes:64 ~associativity:assoc
+        ~line_bytes:Mppm_cache.Configs.line_bytes ~associativity:assoc
     in
-    let meta = Mppm_trace.Trace_file.read_meta path in
-    let sdc = Mppm_trace.Trace_file.replay_sdc path ~geometry in
-    Format.fprintf std "%s: %d references of %s@." path
-      meta.Mppm_trace.Trace_file.accesses
-      meta.Mppm_trace.Trace_file.benchmark;
+    let sdc = Context.llc_sdc ctx ~llc:geometry (bench_index bench) in
+    Format.fprintf std
+      "%s: %.0f LLC-bound references (after L1I/L1D/L2, fetches included) \
+       in %d instructions@."
+      bench (Mppm_cache.Sdc.accesses sdc)
+      (Context.scale ctx).Scale.trace_instructions;
     Format.fprintf std "on %a: miss rate %.2f%%@." Mppm_cache.Geometry.pp
       geometry
       (100.0 *. Mppm_cache.Sdc.miss_rate sdc);
     Format.fprintf std "%a@." Mppm_cache.Sdc.pp sdc
   in
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
+  let bench =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK")
+  in
   let size_kb =
-    Arg.(value & opt int 512 & info [ "size" ] ~doc:"Cache size in KB.")
+    Arg.(value & opt int 512 & info [ "size" ] ~doc:"LLC size in KB.")
   in
   let assoc =
-    Arg.(value & opt int 8 & info [ "assoc" ] ~doc:"Cache associativity.")
+    Arg.(value & opt int 8 & info [ "assoc" ] ~doc:"LLC associativity.")
   in
   Cmd.v
     (Cmd.info "trace-stats"
-       ~doc:"Replay a recorded trace through a cache and print its SDC.")
-    Term.(const run $ path $ size_kb $ assoc)
+       ~doc:
+         "Replay a benchmark's recorded private stream through an LLC of \
+          the given geometry and print the lifetime stack-distance \
+          counters (SDC) and miss rate.  The stream holds the LLC-bound \
+          references, those that miss in L1I, L1D and L2 (instruction \
+          fetches included), not every data reference.  --length and \
+          --cache select the stream; it is recorded into the cache if \
+          absent.")
+    Term.(const run $ context_term $ bench $ size_kb $ assoc)
 
 (* ---- cache --------------------------------------------------------- *)
 
 let cache_stats_cmd =
   let run common =
-    match Context.scan_cache common.ctx with
-    | None -> Format.fprintf std "no profile cache directory configured@."
-    | Some r ->
-        let n_tmp = List.length r.Context.cr_tmp in
-        Format.fprintf std
-          "profile cache: %d live, %d stale, %d foreign entr%s%s@."
-          (List.length r.Context.cr_live)
-          (List.length r.Context.cr_stale)
-          (List.length r.Context.cr_foreign)
-          (if
-             List.length r.Context.cr_live
-             + List.length r.Context.cr_stale
-             + List.length r.Context.cr_foreign
-             = 1
-           then "y"
-           else "ies")
-          (if n_tmp = 0 then ""
-           else Printf.sprintf ", %d orphaned .tmp" n_tmp);
-        List.iter
-          (fun f -> Format.fprintf std "  stale: %s@." f)
-          r.Context.cr_stale;
-        List.iter (fun f -> Format.fprintf std "  tmp: %s@." f) r.Context.cr_tmp
+    let r = Context.scan_cache common.ctx in
+    let n_tmp = List.length r.Context.cr_tmp in
+    Format.fprintf std "profile cache: %d live, %d stale, %d foreign entr%s%s@."
+      (List.length r.Context.cr_live)
+      (List.length r.Context.cr_stale)
+      (List.length r.Context.cr_foreign)
+      (if
+         List.length r.Context.cr_live
+         + List.length r.Context.cr_stale
+         + List.length r.Context.cr_foreign
+         = 1
+       then "y"
+       else "ies")
+      (if n_tmp = 0 then "" else Printf.sprintf ", %d orphaned .tmp" n_tmp);
+    List.iter (fun f -> Format.fprintf std "  stale: %s@." f) r.Context.cr_stale;
+    List.iter (fun f -> Format.fprintf std "  tmp: %s@." f) r.Context.cr_tmp
   in
   Cmd.v
     (Cmd.info "stats"
@@ -770,8 +767,9 @@ let client_cmd =
 let () =
   let doc = "The Multi-Program Performance Model (IISWC 2011) toolkit." in
   (* ~catch:false so domain errors (Failure/Sys_error, e.g. a malformed
-     or missing trace file) print as one clean line on stderr with exit
-     code 2 instead of cmdliner's internal-error backtrace panel. *)
+     or missing trace file, and Invalid_argument, e.g. an LLC config or
+     geometry out of range) print as one clean line on stderr with exit
+     code 2 instead of an uncaught-exception backtrace. *)
   try
     exit
       (Cmd.eval ~catch:false
@@ -779,13 +777,9 @@ let () =
             [
               suite_cmd; profile_cmd; predict_cmd; simulate_cmd; compare_cmd;
               population_cmd; rank_cmd; rank_configs_cmd; categories_cmd;
-              cache_cmd; trace_record_cmd; trace_stats_cmd; trace_report_cmd;
+              cache_cmd; trace_stats_cmd; trace_report_cmd;
               client_cmd;
             ]))
-  with
-  | Failure msg ->
-      prerr_endline ("mppm: " ^ msg);
-      exit 2
-  | Sys_error msg ->
-      prerr_endline ("mppm: " ^ msg);
-      exit 2
+  with Failure msg | Sys_error msg | Invalid_argument msg ->
+    prerr_endline ("mppm: " ^ msg);
+    exit 2

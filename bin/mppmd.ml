@@ -154,8 +154,10 @@ let serve ctx pool listen_fd =
         conns := !conns @ [ { fd; id = !next_id; inbox = ""; closing = false } ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
+  (* One read buffer for the loop: every read happens here, on the main
+     domain, and its bytes are copied into the inbox before the next. *)
+  let buf = Bytes.create 65536 in
   let read_conn conn =
-    let buf = Bytes.create 65536 in
     match Unix.read conn.fd buf 0 (Bytes.length buf) with
     | 0 -> drop conn
     | n -> conn.inbox <- conn.inbox ^ Bytes.sub_string buf 0 n
@@ -329,10 +331,7 @@ let cmd =
 
 let () =
   try exit (Cmd.eval ~catch:false cmd) with
-  | Failure msg ->
-      prerr_endline ("mppmd: " ^ msg);
-      exit 2
-  | Sys_error msg ->
+  | Failure msg | Sys_error msg | Invalid_argument msg ->
       prerr_endline ("mppmd: " ^ msg);
       exit 2
   | Unix.Unix_error (err, fn, arg) ->

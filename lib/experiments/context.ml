@@ -16,28 +16,25 @@ module Registry = Mppm_obs.Registry
 module Pool = Mppm_pool.Pool
 module Single_flight = Mppm_pool.Single_flight
 
-(* A benchmark's recorded private stream: a checked file in the cache
-   directory, or the stream's bytes when the context has no directory. *)
-type stream = On_disk of string | In_memory of string
-
 type t = {
   scale : Scale.t;
   core : Core_model.params;
   seed : int;
-  cache_dir : string option;
+  cache_dir : string;
   profiles : (int * int, Profile.t) Single_flight.t;  (* (llc_config, bench) *)
-  streams : (int, stream * (int * Profile.t) option) Single_flight.t;
-      (* per benchmark: the stream, and the profile whose live build
-         recorded it, with its config *)
+  streams : (int, string * (int * Profile.t) option) Single_flight.t;
+      (* per benchmark: the stream's path, and the profile whose live
+         build recorded it, with its config *)
   offsets : int array;  (* per-core-slot address offsets *)
 }
 
 let max_cores = 16
 
-let create ?(core = Core_model.default) ?(seed = 42) ?cache_dir scale =
-  (match cache_dir with
-  | Some dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  | None -> ());
+let create ?(core = Core_model.default) ?(seed = 42) ~cache_dir scale =
+  (* Another process may create the directory between the check and the
+     mkdir. *)
+  (try Sys.mkdir cache_dir 0o755
+   with Sys_error _ when Sys.file_exists cache_dir -> ());
   {
     scale;
     core;
@@ -63,32 +60,28 @@ let model_params t =
 let hierarchy _t ~llc_config = Configs.baseline ~llc:llc_config ()
 
 let cache_path t ~llc_config bench_index =
-  Option.map
-    (fun dir ->
-      (* The digest covers everything the profile depends on — including
-         the serialization format version, so entries written by an older
-         (lossier) writer read as stale, never as the requested
-         profile. *)
-      let benchmark = Suite.all.(bench_index) in
-      let digest =
-        Fingerprint.to_hex
-          (Fingerprint.of_value
-             ( benchmark,
-               t.core,
-               hierarchy t ~llc_config,
-               t.scale,
-               Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
-               Profile.format_version ))
-      in
-      Filename.concat dir
-        (Printf.sprintf "%s-cfg%d-%s.prof" Suite.names.(bench_index)
-           llc_config digest))
-    t.cache_dir
+  (* The digest covers everything the profile depends on — including the
+     serialization format version, so entries written by an older
+     (lossier) writer read as stale, never as the requested profile. *)
+  let benchmark = Suite.all.(bench_index) in
+  let digest =
+    Fingerprint.to_hex
+      (Fingerprint.of_value
+         ( benchmark,
+           t.core,
+           hierarchy t ~llc_config,
+           t.scale,
+           Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
+           Profile.format_version ))
+  in
+  Filename.concat t.cache_dir
+    (Printf.sprintf "%s-cfg%d-%s.prof" Suite.names.(bench_index) llc_config
+       digest)
 
-let compute_profile ?replay ?record t ~llc_config bench_index =
+let compute_profile ?replay ?record t hierarchy bench_index =
   let benchmark = Suite.all.(bench_index) in
   Single_core.profile ?replay ?record
-    (Single_core.config ~core:t.core (hierarchy t ~llc_config))
+    (Single_core.config ~core:t.core hierarchy)
     ~benchmark
     ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
     ~trace_instructions:t.scale.Scale.trace_instructions
@@ -100,22 +93,19 @@ let compute_profile ?replay ?record t ~llc_config bench_index =
    private levels, which all Table 2 configs share; not on the LLC or the
    core model. *)
 let stream_path t bench_index =
-  Option.map
-    (fun dir ->
-      let benchmark = Suite.all.(bench_index) in
-      let h = hierarchy t ~llc_config:1 in
-      let digest =
-        Fingerprint.to_hex
-          (Fingerprint.of_value
-             ( benchmark,
-               (h.Hierarchy.l1i, h.Hierarchy.l1d, h.Hierarchy.l2),
-               t.scale.Scale.trace_instructions,
-               Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
-               Private_stream.format_version ))
-      in
-      Filename.concat dir
-        (Printf.sprintf "%s-stream-%s.stream" Suite.names.(bench_index) digest))
-    t.cache_dir
+  let benchmark = Suite.all.(bench_index) in
+  let h = hierarchy t ~llc_config:1 in
+  let digest =
+    Fingerprint.to_hex
+      (Fingerprint.of_value
+         ( benchmark,
+           (h.Hierarchy.l1i, h.Hierarchy.l1d, h.Hierarchy.l2),
+           t.scale.Scale.trace_instructions,
+           Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
+           Private_stream.format_version ))
+  in
+  Filename.concat t.cache_dir
+    (Printf.sprintf "%s-stream-%s.stream" Suite.names.(bench_index) digest)
 
 (* A stored stream is its Private_stream bytes followed by a footer: their
    digest and their length, 8 big-endian bytes each.  The bytes are
@@ -152,20 +142,9 @@ let stream_reader t bench_index ~refill ~close =
       close ();
       raise e
 
-let open_stream t bench_index = function
-  | On_disk path ->
-      let ic = open_in_bin path in
-      stream_reader t bench_index ~refill:(input ic) ~close:(fun () ->
-          close_in ic)
-  | In_memory bytes ->
-      let pos = ref 0 in
-      stream_reader t bench_index
-        ~refill:(fun buf off len ->
-          let n = min len (String.length bytes - !pos) in
-          Bytes.blit_string bytes !pos buf off n;
-          pos := !pos + n;
-          n)
-        ~close:ignore
+let open_stream t bench_index path =
+  let ic = open_in_bin path in
+  stream_reader t bench_index ~refill:(input ic) ~close:(fun () -> close_in ic)
 
 (* Raises [Failure] unless [path] holds a length matching its footer, the
    footer's digest, and a stream header (magic, format version, seed,
@@ -197,58 +176,58 @@ let check_stream t bench_index path =
       Private_stream.close
         (stream_reader t bench_index ~refill:(input ic) ~close:ignore))
 
-(* The live profile build that records benchmark [bench_index]'s stream as
-   it goes: to [path] (atomically, through a ".tmp" sibling) or into
-   memory. *)
+(* The live profile build that records benchmark [bench_index]'s stream to
+   [path] as it goes.  The bytes go to a ".tmp" file of this writer's own
+   and are renamed into place, so neither a concurrent writer of the same
+   stream (another process recording the same bytes) nor a reader ever
+   sees a partial file. *)
 let record_stream t ~llc_config bench_index path =
   let benchmark = Suite.all.(bench_index) in
-  let build write =
-    compute_profile t ~llc_config bench_index
-      ~record:
-        (Private_stream.recorder ~benchmark
-           ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
-           ~instructions:t.scale.Scale.trace_instructions
-           ~hierarchy:(hierarchy t ~llc_config) ~write)
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:t.cache_dir (Filename.basename path ^ ".") ".tmp"
   in
-  match path with
-  | None ->
-      let buf = Buffer.create 65536 in
-      let p = build (Buffer.add_subbytes buf) in
-      (In_memory (Buffer.contents buf), Some (llc_config, p))
-  | Some path ->
-      let tmp = path ^ ".tmp" in
-      let p =
-        Out_channel.with_open_bin tmp (fun oc ->
-            (* Whole blocks go out unbuffered: the channel then touches a
-               block's worth of its 64 KB C buffer instead of all of it,
-               and the GC frees a closed channel's buffer only when it
-               gets round to finalizing it. *)
-            Out_channel.set_buffered oc false;
-            let block = Bytes.create block_bytes in
-            let filled = ref 0 and digest = ref digest_basis and length = ref 0 in
-            let emit () =
-              digest := fold_digest !digest block !filled;
-              Out_channel.output oc block 0 !filled;
-              length := !length + !filled;
-              filled := 0
-            in
-            let rec write buf pos len =
-              let n = min len (block_bytes - !filled) in
-              Bytes.blit buf pos block !filled n;
-              filled := !filled + n;
-              if !filled = block_bytes then emit ();
-              if n < len then write buf (pos + n) (len - n)
-            in
-            let p = build write in
-            emit ();
-            let footer = Bytes.create footer_bytes in
-            Bytes.set_int64_be footer 0 !digest;
-            Bytes.set_int64_be footer 8 (Int64.of_int !length);
-            Out_channel.output_bytes oc footer;
-            p)
-      in
-      Sys.rename tmp path;
-      (On_disk path, Some (llc_config, p))
+  let p =
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        (* Whole blocks go out unbuffered: the channel then touches a
+           block's worth of its 64 KB C buffer instead of all of it, and
+           the GC frees a closed channel's buffer only when it gets round
+           to finalizing it. *)
+        Out_channel.set_buffered oc false;
+        let block = Bytes.create block_bytes in
+        let filled = ref 0 and digest = ref digest_basis and length = ref 0 in
+        let emit () =
+          digest := fold_digest !digest block !filled;
+          Out_channel.output oc block 0 !filled;
+          length := !length + !filled;
+          filled := 0
+        in
+        let rec write buf pos len =
+          let n = min len (block_bytes - !filled) in
+          Bytes.blit buf pos block !filled n;
+          filled := !filled + n;
+          if !filled = block_bytes then emit ();
+          if n < len then write buf (pos + n) (len - n)
+        in
+        let p =
+          compute_profile t (hierarchy t ~llc_config) bench_index
+            ~record:
+              (Private_stream.recorder ~benchmark
+                 ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+                 ~instructions:t.scale.Scale.trace_instructions
+                 ~hierarchy:(hierarchy t ~llc_config) ~write)
+        in
+        emit ();
+        let footer = Bytes.create footer_bytes in
+        Bytes.set_int64_be footer 0 !digest;
+        Bytes.set_int64_be footer 8 (Int64.of_int !length);
+        Out_channel.output_bytes oc footer;
+        p)
+  in
+  Sys.rename tmp path;
+  (path, Some (llc_config, p))
 
 (* Benchmark [bench_index]'s stream, memoized per context: a checked cache
    file, or recorded by a live build of its [llc_config] profile, which
@@ -256,52 +235,52 @@ let record_stream t ~llc_config bench_index path =
    recorded anew. *)
 let stream_entry t ~llc_config bench_index =
   Single_flight.get t.streams bench_index (fun _ ->
-      match stream_path t bench_index with
-      | Some path when Sys.file_exists path -> (
-          match check_stream t bench_index path with
-          | () ->
-              Registry.incr "stream_cache.hits";
-              (On_disk path, None)
-          | exception Failure _ ->
-              Registry.incr "stream_cache.misses";
-              Registry.incr "stream_cache.corrupt";
-              record_stream t ~llc_config bench_index (Some path))
-      | path ->
-          Registry.incr "stream_cache.misses";
-          record_stream t ~llc_config bench_index path)
+      let path = stream_path t bench_index in
+      if Sys.file_exists path then (
+        match check_stream t bench_index path with
+        | () ->
+            Registry.incr "stream_cache.hits";
+            (path, None)
+        | exception Failure _ ->
+            Registry.incr "stream_cache.misses";
+            Registry.incr "stream_cache.corrupt";
+            record_stream t ~llc_config bench_index path)
+      else begin
+        Registry.incr "stream_cache.misses";
+        record_stream t ~llc_config bench_index path
+      end)
+
+(* Benchmark [bench_index]'s profile on [hierarchy], replayed from its
+   stream at [path]. *)
+let replay_profile t hierarchy bench_index path =
+  let replay = open_stream t bench_index path in
+  Fun.protect
+    ~finally:(fun () -> Private_stream.close replay)
+    (fun () -> compute_profile t hierarchy bench_index ~replay)
 
 (* The first build of a benchmark's profiles records its stream; every
    other build replays it. *)
 let build_profile t ~llc_config bench_index =
   match stream_entry t ~llc_config bench_index with
   | _, Some (recorded_on, p) when Int.equal recorded_on llc_config -> p
-  | stream, _ ->
-      let replay = open_stream t bench_index stream in
-      Fun.protect
-        ~finally:(fun () -> Private_stream.close replay)
-        (fun () -> compute_profile t ~llc_config bench_index ~replay)
+  | path, _ -> replay_profile t (hierarchy t ~llc_config) bench_index path
 
 (* Cache-directory entries for benchmark [bench_index] at [llc_config] whose
    fingerprint digest no longer matches: the human-readable
    "name-cfgN-" prefix is recognized but the digest differs, i.e. some
    profile input (core params, hierarchy, scale, seed, spec) changed. *)
 let stale_siblings t ~llc_config bench_index =
-  match (t.cache_dir, cache_path t ~llc_config bench_index) with
-  | Some dir, Some live ->
-      let live_base = Filename.basename live in
-      let prefix =
-        Printf.sprintf "%s-cfg%d-" Suite.names.(bench_index) llc_config
-      in
-      Array.fold_left
-        (fun acc f ->
-          if
-            f <> live_base
-            && String.starts_with ~prefix f
-            && Filename.check_suffix f ".prof"
-          then acc + 1
-          else acc)
-        0 (Sys.readdir dir)
-  | _ -> 0
+  let live_base = Filename.basename (cache_path t ~llc_config bench_index) in
+  let prefix = Printf.sprintf "%s-cfg%d-" Suite.names.(bench_index) llc_config in
+  Array.fold_left
+    (fun acc f ->
+      if
+        f <> live_base
+        && String.starts_with ~prefix f
+        && Filename.check_suffix f ".prof"
+      then acc + 1
+      else acc)
+    0 (Sys.readdir t.cache_dir)
 
 (* The memo table is a single-flight front (one computation per key,
    shared by concurrent pool workers); memo hits keep their historical
@@ -315,25 +294,23 @@ let profile t ~llc_config bench_index =
     p
   in
   Single_flight.get t.profiles (llc_config, bench_index) (fun _ ->
-      match cache_path t ~llc_config bench_index with
-      | Some path when Sys.file_exists path -> (
-          match Profile.load path with
-          | p ->
-              Registry.incr "profile_cache.hits";
-              p
-          | exception Failure _ ->
-              (* A corrupt entry is a miss; the atomic save replaces it. *)
-              Registry.incr "profile_cache.misses";
-              Registry.incr "profile_cache.corrupt";
-              recompute path)
-      | Some path ->
-          Registry.incr "profile_cache.misses";
-          Registry.add "profile_cache.stale"
-            (float_of_int (stale_siblings t ~llc_config bench_index));
-          recompute path
-      | None ->
-          Registry.incr "profile_cache.misses";
-          build_profile t ~llc_config bench_index)
+      let path = cache_path t ~llc_config bench_index in
+      if Sys.file_exists path then (
+        match Profile.load path with
+        | p ->
+            Registry.incr "profile_cache.hits";
+            p
+        | exception Failure _ ->
+            (* A corrupt entry is a miss; the atomic save replaces it. *)
+            Registry.incr "profile_cache.misses";
+            Registry.incr "profile_cache.corrupt";
+            recompute path)
+      else begin
+        Registry.incr "profile_cache.misses";
+        Registry.add "profile_cache.stale"
+          (float_of_int (stale_siblings t ~llc_config bench_index));
+        recompute path
+      end)
 
 type cache_report = {
   cr_live : string list;
@@ -343,69 +320,60 @@ type cache_report = {
 }
 
 let scan_cache t =
-  Option.map
-    (fun dir ->
-      (* Basenames every (benchmark, Table 2 config) pair maps to under the
-         current context settings. *)
-      let live_names = Hashtbl.create ~random:false 128 in
-      let live path =
-        Option.iter
-          (fun p -> Hashtbl.replace live_names (Filename.basename p) ())
-          path
-      in
-      for i = 0 to Suite.count - 1 do
-        live (stream_path t i);
-        for cfg = 1 to Configs.llc_config_count do
-          live (cache_path t ~llc_config:cfg i)
-        done
-      done;
-      (* "name-cfgN-<digest>.prof" profiles and "name-stream-<digest>.stream"
-         private streams. *)
-      let recognized f =
-        let named kind suffix =
-          Filename.check_suffix f suffix
-          && Array.exists
-               (fun name ->
-                 String.starts_with ~prefix:(Printf.sprintf "%s-%s-" name kind) f)
-               Suite.names
-        in
-        named "stream" ".stream"
-        || List.exists
-             (fun cfg -> named (Printf.sprintf "cfg%d" cfg) ".prof")
-             (List.init Configs.llc_config_count (fun c -> c + 1))
-      in
-      let files = Sys.readdir dir in
-      Array.sort compare files;
-      Array.fold_left
-        (fun report f ->
-          if Filename.check_suffix f ".tmp" then
-            (* An orphaned atomic-write staging file: Profile.save renames
-               these away on success, so a survivor is an interrupted
-               writer's leftover. *)
-            { report with cr_tmp = f :: report.cr_tmp }
-          else if Hashtbl.mem live_names f then
-            { report with cr_live = f :: report.cr_live }
-          else if recognized f then
-            { report with cr_stale = f :: report.cr_stale }
-          else { report with cr_foreign = f :: report.cr_foreign })
-        { cr_live = []; cr_stale = []; cr_tmp = []; cr_foreign = [] }
-        files
-      |> fun r ->
-      {
-        cr_live = List.rev r.cr_live;
-        cr_stale = List.rev r.cr_stale;
-        cr_tmp = List.rev r.cr_tmp;
-        cr_foreign = List.rev r.cr_foreign;
-      })
-    t.cache_dir
+  (* Basenames every (benchmark, Table 2 config) pair maps to under the
+     current context settings. *)
+  let live_names = Hashtbl.create ~random:false 128 in
+  let live path = Hashtbl.replace live_names (Filename.basename path) () in
+  for i = 0 to Suite.count - 1 do
+    live (stream_path t i);
+    for cfg = 1 to Configs.llc_config_count do
+      live (cache_path t ~llc_config:cfg i)
+    done
+  done;
+  (* "name-cfgN-<digest>.prof" profiles and "name-stream-<digest>.stream"
+     private streams. *)
+  let recognized f =
+    let named kind suffix =
+      Filename.check_suffix f suffix
+      && Array.exists
+           (fun name ->
+             String.starts_with ~prefix:(Printf.sprintf "%s-%s-" name kind) f)
+           Suite.names
+    in
+    named "stream" ".stream"
+    || List.exists
+         (fun cfg -> named (Printf.sprintf "cfg%d" cfg) ".prof")
+         (List.init Configs.llc_config_count (fun c -> c + 1))
+  in
+  let files = Sys.readdir t.cache_dir in
+  Array.sort compare files;
+  Array.fold_left
+    (fun report f ->
+      if Filename.check_suffix f ".tmp" then
+        (* An orphaned atomic-write staging file: writers rename these
+           away on success, so a survivor is an interrupted writer's
+           leftover. *)
+        { report with cr_tmp = f :: report.cr_tmp }
+      else if Hashtbl.mem live_names f then
+        { report with cr_live = f :: report.cr_live }
+      else if recognized f then
+        { report with cr_stale = f :: report.cr_stale }
+      else { report with cr_foreign = f :: report.cr_foreign })
+    { cr_live = []; cr_stale = []; cr_tmp = []; cr_foreign = [] }
+    files
+  |> fun r ->
+  {
+    cr_live = List.rev r.cr_live;
+    cr_stale = List.rev r.cr_stale;
+    cr_tmp = List.rev r.cr_tmp;
+    cr_foreign = List.rev r.cr_foreign;
+  }
 
 let prune_cache t =
-  match (t.cache_dir, scan_cache t) with
-  | Some dir, Some report ->
-      let doomed = report.cr_stale @ report.cr_tmp in
-      List.iter (fun f -> Sys.remove (Filename.concat dir f)) doomed;
-      doomed
-  | _ -> []
+  let report = scan_cache t in
+  let doomed = report.cr_stale @ report.cr_tmp in
+  List.iter (fun f -> Sys.remove (Filename.concat t.cache_dir f)) doomed;
+  doomed
 
 let all_profiles ?pool t ~llc_config =
   match pool with
@@ -467,7 +435,7 @@ let detailed ?llc_partition t ~llc_config mix =
      refill, that only the GC's finalizer frees; the channels were open for
      the whole run, so finish the major cycle to keep a pass's worth of
      them from piling up. *)
-  if Option.is_some t.cache_dir then Gc.major ();
+  Gc.major ();
   let m_cpi_multi =
     Array.map
       (fun p -> p.Multi_core.multicore_cpi)
@@ -497,3 +465,16 @@ let predict_static t ~llc_config mix =
 
 let categories t ~llc_config =
   Category.classify_profiles (all_profiles t ~llc_config)
+
+let llc_sdc t ~llc bench_index =
+  let base = hierarchy t ~llc_config:1 in
+  let path, _ = stream_entry t ~llc_config:1 bench_index in
+  let p =
+    replay_profile t
+      { base with Hierarchy.llc = { base.Hierarchy.llc with geometry = llc } }
+      bench_index path
+  in
+  Array.fold_left
+    (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
+    (Mppm_cache.Sdc.create ~assoc:llc.Mppm_cache.Geometry.associativity)
+    p.Profile.intervals

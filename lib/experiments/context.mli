@@ -1,5 +1,5 @@
 (** Shared machinery for the paper's experiments: per-(benchmark, LLC
-    config) profile management with optional disk caching, detailed
+    config) profile management with a disk cache, detailed
     simulation of mixes, MPPM prediction of mixes, and the measured/
     predicted metric pairs every figure is built from. *)
 
@@ -10,13 +10,13 @@ type t
 val create :
   ?core:Mppm_simcore.Core_model.params ->
   ?seed:int ->
-  ?cache_dir:string ->
+  cache_dir:string ->
   Scale.t ->
   t
-(** [create scale] builds a context.  [cache_dir], when given, persists
-    single-core profiles and private streams across runs (they are the
-    "one-time cost" of Fig. 1).  [seed] (default 42) drives all
-    sampling. *)
+(** [create ~cache_dir scale] builds a context.  [cache_dir], created if
+    absent, persists single-core profiles and private streams across runs
+    (they are the "one-time cost" of Fig. 1).  [seed] (default 42) drives
+    all sampling. *)
 
 val scale : t -> Scale.t
 (** The scale this context was created with. *)
@@ -32,9 +32,9 @@ val model_params : t -> Mppm_core.Model.params
 (** The MPPM parameters this context uses: {!Mppm_core.Model.default_params}
     (paper-faithful ratios) at the context's scale. *)
 
-val cache_path : t -> llc_config:int -> int -> string option
+val cache_path : t -> llc_config:int -> int -> string
 (** [cache_path t ~llc_config i] is the on-disk location of suite benchmark
-    [i]'s profile, or [None] without a cache directory.  The filename
+    [i]'s profile in the cache directory.  The filename
     carries an explicit {!Mppm_util.Fingerprint} digest of everything the
     profile depends on (benchmark spec, core parameters, hierarchy, scale,
     profiling seed), so changing any of them changes the path and a stale
@@ -57,10 +57,10 @@ val profile : t -> llc_config:int -> int -> Mppm_profile.Profile.t
     A benchmark's first profile build runs live and records its private
     stream ({!Mppm_simcore.Private_stream}: what its L1I, L1D and L2 did,
     which no Table 2 config changes) in the same pass; its other builds,
-    and every {!detailed} slot, replay that stream, with bit-identical
-    results.  The stream is stored next to the profiles as
-    ["name-stream-<digest>.stream"] (in memory without a cache
-    directory) and counted under [stream_cache.*]: [memo_hits], [hits]
+    every {!detailed} slot and {!llc_sdc} replay that stream, with
+    bit-identical results.  The stream is stored next to the profiles as
+    ["name-stream-<digest>.stream"] and counted under [stream_cache.*]:
+    [memo_hits], [hits]
     (a file passed its length, digest and header check), [misses]
     (recorded) and [corrupt] (a file failed the check: a miss, and it is
     recorded anew). *)
@@ -80,9 +80,9 @@ type cache_report = {
   cr_foreign : string list;  (** everything else in the directory *)
 }
 
-val scan_cache : t -> cache_report option
-(** [scan_cache t] classifies every file of the cache directory ([None]
-    without one).  Basenames are sorted within each class. *)
+val scan_cache : t -> cache_report
+(** [scan_cache t] classifies every file of the cache directory.
+    Basenames are sorted within each class. *)
 
 val prune_cache : t -> string list
 (** [prune_cache t] deletes the {!cache_report.cr_stale} entries and the
@@ -153,3 +153,12 @@ val hierarchy : t -> llc_config:int -> Mppm_cache.Hierarchy.config
 
 val categories : t -> llc_config:int -> Mppm_workload.Category.t array
 (** MEM/COMP classification of the suite from its profiles. *)
+
+val llc_sdc : t -> llc:Mppm_cache.Geometry.t -> int -> Mppm_cache.Sdc.t
+(** [llc_sdc t ~llc i] is the lifetime SDC of suite benchmark [i] on an
+    LLC of geometry [llc]: its private stream (recorded first if absent,
+    see {!profile}) replayed through the Table 1 hierarchy with that LLC.
+    It counts the LLC-bound references, those that leave L1I, L1D and L2,
+    fetches included.  At a Table 2 config's geometry it is the sum of
+    that config's {!profile} interval SDCs, bit for bit.  Neither
+    memoized nor stored. *)

@@ -177,14 +177,16 @@ let float_str x =
   let s = Printf.sprintf "%.15g" x in
   if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
-(* Writes go to a ".tmp" sibling first and are renamed into place, so a
-   concurrent reader (pool workers share one cache directory) or an
-   interrupted run never observes a truncated profile.  The tmp name is
-   deterministic; racing writers of the same path write identical bytes,
-   so last-rename-wins is harmless. *)
+(* Writes go to a ".tmp" file of this writer's own in the same directory
+   and are renamed into place, so a concurrent reader (pool workers and
+   other processes share one cache directory) or an interrupted run never
+   observes a truncated profile.  Racing writers of the same path write
+   identical bytes, so last-rename-wins is harmless. *)
 let save t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
+  let tmp, oc =
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:(Filename.dirname path)
+      (Filename.basename path ^ ".") ".tmp"
+  in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->

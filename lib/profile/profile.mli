@@ -137,9 +137,10 @@ val format_version : string
 val save : t -> string -> unit  (* mppm: unit _ *)
 (** [save t path] writes the profile as a line-oriented text file.
     Floats are rendered shortest-round-trip, so [load (save t)] is
-    bit-for-bit identical to [t].  The write is atomic: bytes go to
-    [path ^ ".tmp"] and are renamed into place, so a concurrent reader or
-    an interrupted run never sees a truncated file. *)
+    bit-for-bit identical to [t].  The write is atomic: bytes go to a
+    fresh ["<basename of path>.<random>.tmp"] file next to [path] and are
+    renamed into place, so a concurrent reader or writer, or an
+    interrupted run, never sees a truncated file. *)
 
 val load : string -> t  (* mppm: unit profile *)
 (** [load path] reads a profile written by {!save}.  Every malformed

@@ -14,7 +14,22 @@ let check_close eps = Alcotest.(check (float eps))
 (* Tiny but non-degenerate: 100K-instruction traces, 2K intervals. *)
 let tiny_scale = Scale.of_trace 100_000
 
-let make_ctx ?cache_dir () = Context.create ?cache_dir ~seed:7 tiny_scale
+let make_ctx dir = Context.create ~cache_dir:dir ~seed:7 tiny_scale
+
+let fresh_dir () =
+  let dir = Filename.temp_file "mppm-cache" "" in
+  Sys.remove dir;
+  dir
+
+let remove_dir dir =
+  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Sys.rmdir dir
+
+(* [with_ctx f] is [f] on a context over a fresh cache directory, which is
+   removed afterwards. *)
+let with_ctx f =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> remove_dir dir) (fun () -> f (make_ctx dir))
 
 (* ---- Scale -------------------------------------------------------------- *)
 
@@ -37,7 +52,7 @@ let test_scale_presets () =
 (* ---- Context ------------------------------------------------------------- *)
 
 let test_context_profile_memoized () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let a = Context.profile ctx ~llc_config:1 0 in
   let b = Context.profile ctx ~llc_config:1 0 in
   Alcotest.(check bool) "same physical profile" true (a == b);
@@ -45,26 +60,22 @@ let test_context_profile_memoized () =
   Alcotest.(check bool) "different config, different profile" true (a != c)
 
 let test_context_disk_cache_roundtrip () =
-  let dir = Filename.temp_file "mppm-cache" "" in
-  Sys.remove dir;
-  let ctx1 = make_ctx ~cache_dir:dir () in
+  let dir = fresh_dir () in
+  let ctx1 = make_ctx dir in
   let a = Context.profile ctx1 ~llc_config:1 3 in
   (* A second context with the same cache dir must load the same values. *)
-  let ctx2 = make_ctx ~cache_dir:dir () in
+  let ctx2 = make_ctx dir in
   let b = Context.profile ctx2 ~llc_config:1 3 in
   check_close 1e-6 "same cpi" (Profile.cpi a) (Profile.cpi b);
   check_close 1e-6 "same memory cpi" (Profile.memory_cpi a) (Profile.memory_cpi b);
-  (* Clean up. *)
-  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-  Sys.rmdir dir
+  remove_dir dir
 
 (* A cache entry Profile.load rejects is a miss: the profile is recomputed,
    the file rewritten with the original bytes, and profile_cache.corrupt
    counted. *)
 let test_context_corrupt_cache_entry () =
-  let dir = Filename.temp_file "mppm-cache" "" in
-  Sys.remove dir;
-  ignore (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:1 3);
+  let dir = fresh_dir () in
+  ignore (Context.profile (make_ctx dir) ~llc_config:1 3);
   let path =
     match
       List.filter
@@ -90,7 +101,7 @@ let test_context_corrupt_cache_entry () =
     (fun (what, corrupt) ->
       Out_channel.with_open_bin path (fun oc -> output_string oc (corrupt good));
       let before = Mppm_obs.Registry.get "profile_cache.corrupt" in
-      let p = Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:1 3 in
+      let p = Context.profile (make_ctx dir) ~llc_config:1 3 in
       check_close 0.0 (what ^ ": counted") 1.0
         (Mppm_obs.Registry.get "profile_cache.corrupt" -. before);
       Alcotest.(check string) (what ^ ": benchmark") Mppm_trace.Suite.names.(3) p.Profile.benchmark;
@@ -100,17 +111,7 @@ let test_context_corrupt_cache_entry () =
       ("non-numeric", edit_line 2 (fun _ -> "interval ten"));
       ("negative counter", edit_line 5 negate_last_field);
     ];
-  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-  Sys.rmdir dir
-
-let fresh_dir () =
-  let dir = Filename.temp_file "mppm-cache" "" in
-  Sys.remove dir;
-  dir
-
-let remove_dir dir =
-  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-  Sys.rmdir dir
+  remove_dir dir
 
 let profile_bytes p =
   let path = Filename.temp_file "mppm-profile" ".prof" in
@@ -120,11 +121,11 @@ let profile_bytes p =
   bytes
 
 (* The first build of a benchmark's profiles records its private stream;
-   the other five configs replay it, from disk or from memory.  Every
-   profile is byte-identical to a plain live build. *)
+   the other five configs replay it.  Every profile is byte-identical to a
+   plain live build. *)
 let test_context_replayed_profiles_identical () =
   let dir = fresh_dir () in
-  let on_disk = make_ctx ~cache_dir:dir () and in_memory = make_ctx () in
+  let ctx = make_ctx dir in
   List.iter
     (fun bench ->
       let benchmark = Mppm_trace.Suite.all.(bench) in
@@ -132,20 +133,17 @@ let test_context_replayed_profiles_identical () =
         let live =
           Mppm_simcore.Single_core.profile
             (Mppm_simcore.Single_core.config
-               (Context.hierarchy on_disk ~llc_config))
+               (Context.hierarchy ctx ~llc_config))
             ~benchmark
             ~seed:(Mppm_trace.Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
             ~trace_instructions:tiny_scale.Scale.trace_instructions
             ~interval_instructions:tiny_scale.Scale.interval_instructions
         in
-        List.iter
-          (fun (where, ctx) ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s, config %d, %s" benchmark.Mppm_trace.Benchmark.name
-                 llc_config where)
-              (profile_bytes live)
-              (profile_bytes (Context.profile ctx ~llc_config bench)))
-          [ ("disk", on_disk); ("memory", in_memory) ]
+        Alcotest.(check string)
+          (Printf.sprintf "%s, config %d" benchmark.Mppm_trace.Benchmark.name
+             llc_config)
+          (profile_bytes live)
+          (profile_bytes (Context.profile ctx ~llc_config bench))
       done)
     [ 3; 17 ];
   remove_dir dir
@@ -164,7 +162,7 @@ let stream_file dir =
    and counted under stream_cache.corrupt; the profiles do not change. *)
 let test_context_corrupt_stream () =
   let dir = fresh_dir () in
-  let want = profile_bytes (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:2 3) in
+  let want = profile_bytes (Context.profile (make_ctx dir) ~llc_config:2 3) in
   let path = stream_file dir in
   let bytes () = In_channel.with_open_bin path In_channel.input_all in
   let good = bytes () in
@@ -179,11 +177,11 @@ let test_context_corrupt_stream () =
              if Filename.check_suffix f ".prof" then Sys.remove (Filename.concat dir f));
       let count key = Mppm_obs.Registry.get ("stream_cache." ^ key) in
       let corrupt_before = count "corrupt" and misses_before = count "misses" in
-      let p = Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:4 3 in
+      let p = Context.profile (make_ctx dir) ~llc_config:4 3 in
       check_close 0.0 (what ^ ": counted corrupt") 1.0 (count "corrupt" -. corrupt_before);
       check_close 0.0 (what ^ ": counted a miss") 1.0 (count "misses" -. misses_before);
       Alcotest.(check string) (what ^ ": file re-recorded") good (bytes ());
-      let replayed = make_ctx ~cache_dir:dir () in
+      let replayed = make_ctx dir in
       Alcotest.(check string) (what ^ ": replayed profile unchanged") want
         (profile_bytes (Context.profile replayed ~llc_config:2 3));
       ignore p)
@@ -193,7 +191,7 @@ let test_context_corrupt_stream () =
       ("flipped header byte", fun s -> flip 3 s);
     ];
   let hits = Mppm_obs.Registry.get "stream_cache.hits" in
-  ignore (Context.profile (make_ctx ~cache_dir:dir ()) ~llc_config:5 3);
+  ignore (Context.profile (make_ctx dir) ~llc_config:5 3);
   check_close 0.0 "an intact stream is a hit" 1.0
     (Mppm_obs.Registry.get "stream_cache.hits" -. hits);
   remove_dir dir
@@ -203,7 +201,7 @@ let test_context_corrupt_stream () =
    foreign, and prune leaves live and foreign files alone. *)
 let test_context_scan_cache () =
   let dir = fresh_dir () in
-  let ctx = make_ctx ~cache_dir:dir () in
+  let ctx = make_ctx dir in
   ignore (Context.profile ctx ~llc_config:1 3);
   ignore (Context.profile ctx ~llc_config:2 3);
   let name = Mppm_trace.Suite.names.(3) in
@@ -212,11 +210,7 @@ let test_context_scan_cache () =
   and stale_stream = name ^ "-stream-0000000000000000.stream"
   and tmp = Filename.basename (stream_file dir) ^ ".tmp" in
   List.iter plant [ stale_profile; stale_stream; tmp; "notes.txt" ];
-  let report =
-    match Context.scan_cache ctx with
-    | Some r -> r
-    | None -> Alcotest.fail "no report for a cache directory"
-  in
+  let report = Context.scan_cache ctx in
   let sorted = List.sort compare in
   Alcotest.(check (list string)) "live"
     (sorted
@@ -238,8 +232,40 @@ let test_context_scan_cache () =
   Alcotest.(check int) "left behind" 4 (Array.length (Sys.readdir dir));
   remove_dir dir
 
+(* trace-stats' oracle: at a Table 2 config's LLC geometry, [llc_sdc] is
+   the sum of that config's profile interval SDCs, bit for bit, whether
+   [llc_sdc] recorded the stream (benchmark 3) or a profile build did
+   (benchmark 17).  An 8-way LLC with 4x the sets (config 5 over
+   config 1) splits every set's reference stream, so it misses no more. *)
+let test_context_llc_sdc () =
+  with_ctx @@ fun ctx ->
+  let bits sdc = List.map Int64.bits_of_float (Mppm_cache.Sdc.to_list sdc) in
+  List.iter
+    (fun bench ->
+      let llc_sdc llc_config =
+        Context.llc_sdc ctx
+          ~llc:(Mppm_cache.Configs.llc_config llc_config).Mppm_cache.Hierarchy.geometry
+          bench
+      in
+      if bench = 3 then ignore (llc_sdc 1);
+      for llc_config = 1 to Mppm_cache.Configs.llc_config_count do
+        let p = Context.profile ctx ~llc_config bench in
+        let summed =
+          Array.fold_left
+            (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
+            (Mppm_cache.Sdc.create ~assoc:p.Profile.llc_assoc)
+            p.Profile.intervals
+        in
+        Alcotest.(check (list int64))
+          (Printf.sprintf "benchmark %d, config %d" bench llc_config)
+          (bits summed) (bits (llc_sdc llc_config))
+      done;
+      Alcotest.(check bool) "2MB misses no more than 512KB" true
+        (Mppm_cache.Sdc.misses (llc_sdc 5) <= Mppm_cache.Sdc.misses (llc_sdc 1)))
+    [ 3; 17 ]
+
 let test_context_rng_purposes () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let a = Mppm_util.Rng.int (Context.rng ctx "alpha") 1_000_000 in
   let b = Mppm_util.Rng.int (Context.rng ctx "beta") 1_000_000 in
   let a' = Mppm_util.Rng.int (Context.rng ctx "alpha") 1_000_000 in
@@ -247,7 +273,7 @@ let test_context_rng_purposes () =
   Alcotest.(check bool) "different purposes differ" true (a <> b)
 
 let test_context_measured_view () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let mix = Mix.of_names [| "gamess"; "soplex" |] in
   let m = Context.detailed ctx ~llc_config:1 mix in
   Alcotest.(check int) "two programs" 2 (Array.length m.Context.m_cpi_multi);
@@ -266,7 +292,7 @@ let test_context_measured_view () =
     m.Context.m_cpi_single
 
 let test_context_predict_view () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let mix = Mix.of_names [| "gamess"; "gamess"; "hmmer"; "soplex" |] in
   let r = Context.predict ctx ~llc_config:1 mix in
   Alcotest.(check int) "four programs" 4 (Array.length r.Model.programs);
@@ -275,7 +301,7 @@ let test_context_predict_view () =
     (r.Model.stp > 0.0 && r.Model.stp <= 4.0 +. 1e-9)
 
 let test_context_categories () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let classes = Context.categories ctx ~llc_config:1 in
   Alcotest.(check int) "whole suite classified" Mppm_trace.Suite.count
     (Array.length classes);
@@ -286,7 +312,7 @@ let test_context_categories () =
 (* ---- Accuracy ------------------------------------------------------------- *)
 
 let test_accuracy_evaluate () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let run = Accuracy.evaluate ctx ~llc_config:1 ~cores:2 ~count:4 in
   Alcotest.(check int) "evals" 4 (Array.length run.Accuracy.evals);
   Alcotest.(check bool) "errors finite and sane" true
@@ -314,7 +340,7 @@ let test_accuracy_evaluate () =
 (* ---- Variability ------------------------------------------------------------ *)
 
 let test_variability_run () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let t = Variability.run ctx ~cores:2 ~max_mixes:30 ~step:10 () in
   Alcotest.(check int) "points" 3 (List.length t.Variability.points);
   let counts = List.map (fun p -> p.Variability.mixes) t.Variability.points in
@@ -336,7 +362,7 @@ let test_variability_run () =
 (* ---- Stress -------------------------------------------------------------------- *)
 
 let test_stress_analyze () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let run = Accuracy.evaluate ctx ~llc_config:1 ~cores:2 ~count:6 in
   let t = Stress.analyze ~worst_k:2 run in
   Alcotest.(check int) "k" 2 t.Stress.worst_k;
@@ -355,7 +381,7 @@ let test_stress_analyze () =
 (* ---- Ranking (micro options) ----------------------------------------------------- *)
 
 let test_ranking_micro () =
-  let ctx = make_ctx () in
+  with_ctx @@ fun ctx ->
   let options =
     {
       Ranking.cores = 2;
@@ -426,6 +452,7 @@ let tests =
           test_context_corrupt_stream;
         Alcotest.test_case "cache scan classifies streams" `Quick
           test_context_scan_cache;
+        Alcotest.test_case "llc_sdc = profiles" `Quick test_context_llc_sdc;
         Alcotest.test_case "rng purposes" `Quick test_context_rng_purposes;
         Alcotest.test_case "measured view" `Quick test_context_measured_view;
         Alcotest.test_case "predicted view" `Quick test_context_predict_view;

@@ -445,13 +445,13 @@ let test_invariant_counters () =
    sanitizer off. *)
 let test_sanitizer_smoke () =
   let baseline =
-    let ctx = Context.create ~seed:7 tiny_scale in
+    Suite_experiments.with_ctx @@ fun ctx ->
     Context.predict ctx ~llc_config:1 canonical_mix
   in
   Invariant.reset ();
   Invariant.set_enabled true;
   let sanitized, measured =
-    let ctx = Context.create ~seed:7 tiny_scale in
+    Suite_experiments.with_ctx @@ fun ctx ->
     let p = Context.predict ctx ~llc_config:1 canonical_mix in
     let m = Context.detailed ctx ~llc_config:1 canonical_mix in
     (p, m)
@@ -506,27 +506,18 @@ let test_cache_path_digest () =
   let ctx1 = Context.create ~seed:7 ~cache_dir:dir tiny_scale in
   let ctx2 = Context.create ~seed:7 ~cache_dir:dir tiny_scale in
   let path ctx = Context.cache_path ctx ~llc_config:1 0 in
-  (match (path ctx1, path ctx2) with
-  | Some a, Some b ->
-      Alcotest.(check string) "same parameters, same path" a b;
-      Alcotest.(check bool) "benchmark name in path" true
-        (contains a Mppm_trace.Suite.names.(0))
-  | _ -> Alcotest.fail "cache_path must be Some with a cache dir");
-  (match (path ctx1, Context.cache_path ctx1 ~llc_config:2 0) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "different LLC config, different path" true (a <> b)
-  | _ -> Alcotest.fail "cache_path must be Some with a cache dir");
+  Alcotest.(check string) "same parameters, same path" (path ctx1) (path ctx2);
+  Alcotest.(check bool) "benchmark name in path" true
+    (contains (path ctx1) Mppm_trace.Suite.names.(0));
+  Alcotest.(check bool) "different LLC config, different path" true
+    (path ctx1 <> Context.cache_path ctx1 ~llc_config:2 0);
   let little =
     Context.create
       ~core:{ Mppm_simcore.Core_model.default with memory_exposure = 0.9 }
       ~seed:7 ~cache_dir:dir tiny_scale
   in
-  (match (path ctx1, path little) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "different core params, different path" true (a <> b)
-  | _ -> Alcotest.fail "cache_path must be Some with a cache dir");
-  Alcotest.(check (option string)) "no cache dir, no path" None
-    (Context.cache_path (Context.create ~seed:7 tiny_scale) ~llc_config:1 0)
+  Alcotest.(check bool) "different core params, different path" true
+    (path ctx1 <> path little)
 
 let tests =
   [

@@ -3,9 +3,9 @@
    stream (deterministic and matching the checked-in golden trace), the
    registry aggregates the simulators push, and the hard guarantee that
    attaching a trace never changes results bit-for-bit.  The tail drives
-   the built bin/mppm.exe (trace-report, and predict --trace for the bytes
-   it writes) and tools/benchdiff.exe for their exit-code and
-   error-message contracts. *)
+   the built bin/mppm.exe (trace-report, predict --trace for the bytes it
+   writes, trace-stats, argument errors and concurrent cache writers) and
+   tools/benchdiff.exe for their exit-code and error-message contracts. *)
 
 module Event = Mppm_obs.Event
 module Trace = Mppm_obs.Trace
@@ -18,12 +18,11 @@ module Mix = Mppm_workload.Mix
 open Mppm_experiments
 
 let canonical_mix = Mix.of_names [| "gamess"; "gamess"; "hmmer"; "soplex" |]
-let tiny_scale = Scale.of_trace 100_000
 
 (* Predict the canonical mix with a trace collector attached; returns the
    model result and the collected events. *)
 let traced_run () =
-  let ctx = Context.create ~seed:7 tiny_scale in
+  Suite_experiments.with_ctx @@ fun ctx ->
   let obs, events = Trace.memory () in
   let result = Context.predict ~obs ctx ~llc_config:1 canonical_mix in
   (result, events ())
@@ -117,7 +116,7 @@ let test_trace_matches_golden () =
 (* The hard constraint: collecting a trace must not change any result bit. *)
 let test_traced_equals_untraced () =
   let untraced =
-    let ctx = Context.create ~seed:7 tiny_scale in
+    Suite_experiments.with_ctx @@ fun ctx ->
     Context.predict ctx ~llc_config:1 canonical_mix
   in
   let traced, _ = traced_run () in
@@ -140,7 +139,7 @@ let test_traced_equals_untraced () =
 
 let test_registry_aggregates () =
   Registry.reset ();
-  let ctx = Context.create ~seed:7 tiny_scale in
+  Suite_experiments.with_ctx @@ fun ctx ->
   ignore (Context.predict ctx ~llc_config:1 canonical_mix);
   Alcotest.(check bool) "profile computations counted" true
     (Registry.get "profile_cache.misses" >= 3.0);
@@ -369,12 +368,12 @@ let test_prof_pool_stats () =
    canonical prediction in Prof spans changes no result bit. *)
 let test_profiled_equals_unprofiled () =
   let unprofiled =
-    let ctx = Context.create ~seed:7 tiny_scale in
+    Suite_experiments.with_ctx @@ fun ctx ->
     Context.predict ctx ~llc_config:1 canonical_mix
   in
   let prof = Prof.make ~clock:(counter_clock ()) in
   let profiled =
-    let ctx = Context.create ~seed:7 tiny_scale in
+    Suite_experiments.with_ctx @@ fun ctx ->
     Prof.time prof "predict" (fun () ->
         Context.predict ctx ~llc_config:1 canonical_mix)
   in
@@ -574,6 +573,112 @@ let test_cli_trace_jobs () =
               (fun line -> contains line "\"model.start\"")
               (String.split_on_char '\n' sequential)))
 
+(* trace-stats records the benchmark's stream into an empty cache and
+   prints the SDC Context.llc_sdc computes for the requested LLC. *)
+let test_cli_trace_stats () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun dir ->
+      let rc, text =
+        run_cli
+          (Printf.sprintf
+             "%s trace-stats soplex --length 100000 --cache %s --size 1024 \
+              --assoc 16"
+             (Filename.quote exe) (Filename.quote dir))
+      in
+      Alcotest.(check int) "exits 0" 0 rc;
+      Alcotest.(check bool) "the stream was recorded" true
+        (Array.exists
+           (fun f -> Filename.check_suffix f ".stream")
+           (Sys.readdir dir));
+      let sdc =
+        Context.llc_sdc
+          (Context.create ~seed:7 ~cache_dir:dir (Scale.of_trace 100_000))
+          ~llc:
+            (Mppm_cache.Geometry.make
+               ~size_bytes:(Mppm_cache.Geometry.mib 1)
+               ~line_bytes:64 ~associativity:16)
+          (Mppm_trace.Suite.index "soplex")
+      in
+      Alcotest.(check bool) "says what it counts" true
+        (contains text "LLC-bound references");
+      Alcotest.(check bool) "prints Context.llc_sdc" true
+        (contains text (Format.asprintf "%a" Mppm_cache.Sdc.pp sdc))
+
+(* An out-of-range argument is one "mppm: ..." line on stderr and exit 2,
+   not an uncaught exception. *)
+let test_cli_invalid_arguments () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun dir ->
+      let run args =
+        run_cli
+          (Printf.sprintf "%s %s --length 100000 --cache %s"
+             (Filename.quote exe) args (Filename.quote dir))
+      in
+      let rc, text = run "profile gamess --config 9" in
+      Alcotest.(check int) "--config 9 exits 2" 2 rc;
+      Alcotest.(check string) "--config 9: one line"
+        "mppm: Configs.llc_config: no config #9\n" text;
+      let rc, text = run "trace-stats gamess --assoc 0" in
+      Alcotest.(check int) "--assoc 0 exits 2" 2 rc;
+      Alcotest.(check bool) "--assoc 0: one mppm: line" true
+        (String.starts_with ~prefix:"mppm: Geometry.make: " text
+        && String.index text '\n' = String.length text - 1)
+
+(* Two cold [mppm profile] processes started together on one empty cache
+   directory both succeed and leave the bytes one process writes alone:
+   each stages its writes in a .tmp file of its own. *)
+let test_cli_concurrent_cold_writers () =
+  match built_exe "bin/mppm.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some exe ->
+      with_temp_dir @@ fun alone ->
+      with_temp_dir @@ fun shared ->
+      let spawn dir =
+        let err = Filename.temp_file "mppm_cli_err" ".txt" in
+        let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let pid =
+          Unix.create_process exe
+            [| exe; "profile"; "gamess"; "mcf"; "soplex"; "lbm";
+               "--length"; "1000000"; "--cache"; dir |]
+            Unix.stdin fd fd
+        in
+        Unix.close fd;
+        (pid, err)
+      in
+      let wait (pid, err) =
+        let status = snd (Unix.waitpid [] pid) in
+        let output = read_file err in
+        Sys.remove err;
+        match status with
+        | Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.failf "mppm profile failed: %s" output
+      in
+      wait (spawn alone);
+      let a = spawn shared in
+      let b = spawn shared in
+      wait a;
+      wait b;
+      let cached dir =
+        List.filter
+          (fun f ->
+            Filename.check_suffix f ".prof" || Filename.check_suffix f ".stream")
+          (List.sort compare (Array.to_list (Sys.readdir dir)))
+      in
+      Alcotest.(check (list string)) "same entries" (cached alone) (cached shared);
+      Alcotest.(check int) "four profiles and four streams" 8
+        (List.length (cached shared));
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (f ^ " byte-identical") true
+            (String.equal
+               (read_file (Filename.concat alone f))
+               (read_file (Filename.concat shared f))))
+        (cached alone)
+
 (* benchdiff on the committed fixtures (test/benchdiff_*.json, in the
    [perf.exe --workload all] format) against BENCHMARK.json's bounds. *)
 let test_benchdiff_exit_codes () =
@@ -686,5 +791,14 @@ let tests =
           test_cli_trace_chrome;
         Alcotest.test_case "batch bytes independent of --jobs" `Quick
           test_cli_trace_jobs;
+      ] );
+    ( "cli",
+      [
+        Alcotest.test_case "trace-stats replays the stream" `Quick
+          test_cli_trace_stats;
+        Alcotest.test_case "invalid arguments: one line" `Quick
+          test_cli_invalid_arguments;
+        Alcotest.test_case "concurrent cold writers" `Quick
+          test_cli_concurrent_cold_writers;
       ] );
   ]

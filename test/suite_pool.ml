@@ -281,7 +281,6 @@ let test_single_flight_metric () =
 
 (* ---- parallel model runs are bit-identical, tracing attached ------------- *)
 
-let tiny_scale = Scale.of_trace 100_000
 
 let mixes =
   [|
@@ -294,7 +293,7 @@ let mixes =
    bin/mppm batches mixes; returns per-mix (predicted, measured STP,
    trace lines). *)
 let compare_all map_fn =
-  let ctx = Context.create ~seed:7 tiny_scale in
+  Suite_experiments.with_ctx @@ fun ctx ->
   map_fn
     (fun mix ->
       let obs, events = Trace.memory () in

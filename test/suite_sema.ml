@@ -1,7 +1,6 @@
 (* Tests for the lint's cross-module rules (tools/sema): facts
    extraction totality and parse errors, rules S1-S8/P1-P4/U1-U3, shared
-   suppression, the incremental facts cache, the SARIF golden, and the
-   --fix round-trip.
+   suppression, the SARIF golden, and the --fix round-trip.
 
    The acceptance test for S2 mutates the *real* workload generator
    source (replacing the fetch stream with the data stream) and asserts
@@ -47,12 +46,12 @@ let report_of = function
   | Error [] -> Alcotest.fail "parse error without detail"
 
 (* Like [analyze], with dune files so cross-library references resolve. *)
-let analyze_dunes ?cache_file dunes inputs =
+let analyze_dunes dunes inputs =
   report_of
-    (Sema.analyze ?cache_file ~dunes
+    (Sema.analyze ~dunes
        (List.map (fun (rel, content) -> { Sema.rel; content }) inputs))
 
-let analyze ?cache_file inputs = analyze_dunes ?cache_file [] inputs
+let analyze inputs = analyze_dunes [] inputs
 
 let rules_of report = List.map (fun d -> d.Diag.rule) report.Sema.diags
 
@@ -730,12 +729,12 @@ let test_hot_root_flagged () =
     (prules r)
 
 let test_hot_transitive () =
+  let callee = ("lib/demo/alloc.ml", "let mk a b = (a, b)\n") in
+  Alcotest.(check (list string)) "no hot root, no P findings" []
+    (prules (analyze [ callee; ("lib/demo/root.ml", "let run x = Alloc.mk x x\n") ]));
   let r =
     analyze
-      [
-        ("lib/demo/alloc.ml", "let mk a b = (a, b)\n");
-        ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n");
-      ]
+      [ callee; ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n") ]
   in
   Alcotest.(check bool) "callee of a hot root is flagged" true
     (List.exists
@@ -831,27 +830,6 @@ let test_injected_allocation_rejected () =
                  && d.Diag.severity = Diag.Error
                  && contains d.Diag.message "hot")
                r.Sema.diags))
-
-(* A hot annotation added to one file re-parses only that file, and the
-   cached facts of the callee still carry its perf sites. *)
-let test_cache_hot_annotation () =
-  let cache_file = Filename.temp_file "mppm_sema_cache" ".bin" in
-  let callee = ("lib/demo/alloc.ml", "let mk a b = (a, b)\n") in
-  let root_plain = ("lib/demo/root.ml", "let run x = Alloc.mk x x\n") in
-  let root_hot =
-    ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n")
-  in
-  let first = analyze ~cache_file [ callee; root_plain ] in
-  Alcotest.(check (list string)) "no hot root, no P findings" []
-    (prules first);
-  let second = analyze ~cache_file [ callee; root_hot ] in
-  Alcotest.(check int) "only the annotated file re-parses" 1
-    second.Sema.parses;
-  Alcotest.(check int) "the callee comes from the cache" 1
-    second.Sema.cache_hits;
-  Alcotest.(check bool) "hotness reaches the cached callee" true
-    (List.mem "P1" (prules second));
-  Sys.remove cache_file
 
 (* Propagation laws over the pure reachability core. *)
 let hot_graph_arb =
@@ -1125,66 +1103,6 @@ let test_driver_unknown_rule_and_report () =
         Sys.remove out
       end
 
-(* ---- Incremental cache ---------------------------------------------------- *)
-
-let test_cache_zero_reparses () =
-  let cache_file = Filename.temp_file "mppm_sema_cache" ".bin" in
-  let inputs =
-    [ ("lib/demo/a.ml", "let f x = x + 1\n"); ("lib/demo/acc.ml", accum) ]
-  in
-  let first = analyze ~cache_file inputs in
-  Alcotest.(check int) "first run parses everything" 2 first.Sema.parses;
-  Alcotest.(check int) "first run has no hits" 0 first.Sema.cache_hits;
-  let second = analyze ~cache_file inputs in
-  Alcotest.(check int) "second run re-parses nothing" 0 second.Sema.parses;
-  Alcotest.(check int) "second run is all hits" 2 second.Sema.cache_hits;
-  Alcotest.(check (list string)) "identical findings"
-    (rules_of first) (rules_of second);
-  (* Touching one file re-parses exactly that file. *)
-  let third =
-    analyze ~cache_file
-      [ ("lib/demo/a.ml", "let f x = x + 2\n"); ("lib/demo/acc.ml", accum) ]
-  in
-  Alcotest.(check int) "changed file re-parsed" 1 third.Sema.parses;
-  Alcotest.(check int) "unchanged file cached" 1 third.Sema.cache_hits;
-  (* A corrupt cache degrades to empty, never an error. *)
-  let oc = open_out_bin cache_file in
-  output_string oc "garbage";
-  close_out oc;
-  let fourth = analyze ~cache_file inputs in
-  Alcotest.(check int) "corrupt cache means re-parse" 2 fourth.Sema.parses;
-  Sys.remove cache_file
-
-(* The --verbose counter through the real driver, over the real tree. *)
-let test_cache_via_driver () =
-  match lint_root () with
-  | None -> Alcotest.fail "cannot locate the source tree"
-  | Some root ->
-      let exe = Filename.concat root "tools/lint/lint.exe" in
-      if not (Sys.file_exists exe) then
-        (* Source checkouts don't carry the binary; the in-process cache
-           test above covers the behavior. *)
-        ()
-      else begin
-        let cache_file = Filename.temp_file "mppm_sema_cache" ".bin" in
-        let out = Filename.temp_file "mppm_lint_out" ".txt" in
-        let run () =
-          Sys.command
-            (Printf.sprintf "%s --root %s --cache %s --verbose > %s 2>&1"
-               (Filename.quote exe) (Filename.quote root)
-               (Filename.quote cache_file) (Filename.quote out))
-        in
-        let rc1 = run () in
-        Alcotest.(check int) "clean tree exits 0 (first)" 0 rc1;
-        let rc2 = run () in
-        Alcotest.(check int) "clean tree exits 0 (second)" 0 rc2;
-        let output = read_file out in
-        Alcotest.(check bool) "second run reports parses=0" true
-          (contains output "parses=0");
-        Sys.remove cache_file;
-        Sys.remove out
-      end
-
 (* ---- SARIF golden ---------------------------------------------------------- *)
 
 let fixture_diags () =
@@ -1333,8 +1251,6 @@ let tests =
         Alcotest.test_case "P2/P3/P4 shapes" `Quick test_p2_p3_p4_shapes;
         Alcotest.test_case "injected allocation rejected" `Quick
           test_injected_allocation_rejected;
-        Alcotest.test_case "hot annotation re-parses one file" `Quick
-          test_cache_hot_annotation;
         Alcotest.test_case "driver: unknown rule, --report hot" `Quick
           test_driver_unknown_rule_and_report;
       ] );
@@ -1350,13 +1266,6 @@ let tests =
       List.map QCheck_alcotest.to_alcotest
         (qcheck_tests @ lattice_tests @ hot_closure_tests
         @ units_lattice_tests) );
-    ( "sema.cache",
-      [
-        Alcotest.test_case "zero re-parses on unchanged inputs" `Quick
-          test_cache_zero_reparses;
-        Alcotest.test_case "driver --verbose counter" `Quick
-          test_cache_via_driver;
-      ] );
     ( "sema.output",
       [
         Alcotest.test_case "SARIF golden" `Quick test_sarif_golden;

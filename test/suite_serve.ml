@@ -24,8 +24,6 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-let tiny_scale = Scale.of_trace 100_000
-let make_ctx () = Context.create ~seed:7 tiny_scale
 
 (* ---- qcheck round-trips ---------------------------------------------- *)
 
@@ -213,7 +211,7 @@ let output_of what resp =
   | Wire.Counters _ -> Alcotest.fail (what ^ ": unexpected counters")
 
 let test_dispatch_predict_matches_renderers () =
-  let ctx = make_ctx () in
+  Suite_experiments.with_ctx @@ fun ctx ->
   let names = [ "gamess"; "gamess"; "hmmer"; "soplex" ] in
   let served =
     output_of "predict"
@@ -243,7 +241,7 @@ let test_dispatch_predict_matches_renderers () =
     (contains batch "== mix ")
 
 let test_dispatch_errors () =
-  let ctx = make_ctx () in
+  Suite_experiments.with_ctx @@ fun ctx ->
   (match Dispatch.handle ctx (Wire.Predict { names = [ "nosuch" ]; llc_config = 1 }) with
   | Wire.Error { code = Wire.Unknown_benchmark; message } ->
       Alcotest.(check bool) "names the benchmark" true
@@ -266,7 +264,7 @@ let test_dispatch_errors () =
     [ (0, 10); (65, 10); (2, 0); (2, 2_000_000) ]
 
 let test_dispatch_rank_deterministic () =
-  let ctx = make_ctx () in
+  Suite_experiments.with_ctx @@ fun ctx ->
   let one () =
     output_of "rank" (Dispatch.handle ctx (Wire.Rank { cores = 2; count = 3 }))
   in
@@ -284,7 +282,7 @@ let test_dispatch_rank_deterministic () =
   Alcotest.(check string) "handle output is the rendered ranking" direct a
 
 let test_dispatch_stats () =
-  let ctx = make_ctx () in
+  Suite_experiments.with_ctx @@ fun ctx ->
   ignore (Dispatch.handle ctx (Wire.Predict { names = [ "hmmer" ]; llc_config = 1 }));
   match Dispatch.handle ctx Wire.Stats with
   | Wire.Counters kvs ->

@@ -321,109 +321,6 @@ let test_suite_llc_band_members () =
       Alcotest.(check bool) (name ^ " has an LLC-band region") true in_band)
     [ "gamess"; "gobmk"; "omnetpp"; "xalancbmk"; "dealII"; "soplex" ]
 
-(* ---- Trace_file ------------------------------------------------------------ *)
-
-module Trace_file = Mppm_trace.Trace_file
-module Sdc_profiler = Mppm_cache.Sdc_profiler
-module Geometry = Mppm_cache.Geometry
-
-let with_temp_trace f =
-  let path = Filename.temp_file "mppm-trace" ".trc" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_trace_roundtrip () =
-  with_temp_trace (fun path ->
-      let bench = Suite.find "gamess" in
-      let seed = 77 in
-      let meta =
-        Trace_file.record ~path ~generator:(Generator.create ~seed bench)
-          ~accesses:5_000 ()
-      in
-      Alcotest.(check int) "meta accesses" 5_000 meta.Trace_file.accesses;
-      Alcotest.(check string) "meta benchmark" "gamess" meta.Trace_file.benchmark;
-      (* Replay and compare record-for-record against a fresh generator. *)
-      let reference = Generator.create ~seed bench in
-      let next_ref () =
-        let rec go gap =
-          let op = Generator.next reference ~cap:max_int in
-          match op.Op.access with
-          | Some access -> (gap + op.Op.instructions - 1, access)
-          | None -> go (gap + op.Op.instructions)
-        in
-        go 0
-      in
-      let count =
-        Trace_file.fold path ~init:0 ~f:(fun n ~gap access ->
-            let want_gap, want_access = next_ref () in
-            Alcotest.(check int) "gap" want_gap gap;
-            Alcotest.(check int) "addr" want_access.Op.addr access.Op.addr;
-            Alcotest.(check bool) "kind" true (want_access.Op.kind = access.Op.kind);
-            n + 1)
-      in
-      Alcotest.(check int) "all records streamed" 5_000 count)
-
-let test_trace_meta_detects_truncation () =
-  with_temp_trace (fun path ->
-      let bench = Suite.find "mcf" in
-      ignore
-        (Trace_file.record ~path ~generator:(Generator.create ~seed:3 bench)
-           ~accesses:1_000 ());
-      (* Truncate the payload. *)
-      let size = (Unix.stat path).Unix.st_size in
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Unix.ftruncate fd (size - 5);
-      Unix.close fd;
-      Alcotest.(check bool) "meta rejects truncation" true
-        (try ignore (Trace_file.read_meta path); false with Failure _ -> true);
-      Alcotest.(check bool) "fold rejects truncation" true
-        (try
-           ignore (Trace_file.fold path ~init:() ~f:(fun () ~gap:_ _ -> ()));
-           false
-         with Failure _ -> true))
-
-let test_trace_replay_sdc_matches_live () =
-  with_temp_trace (fun path ->
-      let bench = Suite.find "soplex" in
-      let seed = 9 in
-      ignore
-        (Trace_file.record ~path ~generator:(Generator.create ~seed bench)
-           ~accesses:20_000 ());
-      let geometry =
-        Geometry.make ~size_bytes:(Geometry.kib 64) ~line_bytes:64
-          ~associativity:8
-      in
-      (* Live profiling of the same stream. *)
-      let live = Sdc_profiler.create geometry in
-      let g = Generator.create ~seed bench in
-      let seen = ref 0 in
-      while !seen < 20_000 do
-        match (Generator.next g ~cap:max_int).Op.access with
-        | Some a ->
-            ignore (Sdc_profiler.access live a.Op.addr);
-            incr seen
-        | None -> ()
-      done;
-      let replayed = Trace_file.replay_sdc path ~geometry in
-      Alcotest.(check (list (float 1e-9)))
-        "replayed SDC = live SDC"
-        (Mppm_cache.Sdc.to_list (Sdc_profiler.lifetime_total live))
-        (Mppm_cache.Sdc.to_list replayed))
-
-let test_trace_miss_rate_monotone_in_size () =
-  with_temp_trace (fun path ->
-      ignore
-        (Trace_file.record ~path
-           ~generator:(Generator.create ~seed:5 (Suite.find "omnetpp"))
-           ~accesses:30_000 ());
-      let rate kb =
-        Trace_file.replay_miss_rate path
-          ~geometry:
-            (Geometry.make ~size_bytes:(Geometry.kib kb) ~line_bytes:64
-               ~associativity:8)
-      in
-      Alcotest.(check bool) "bigger cache, fewer misses" true
-        (rate 1024 <= rate 64 +. 1e-9))
-
 (* ---- qcheck -------------------------------------------------------------- *)
 
 let qcheck_tests =
@@ -502,13 +399,6 @@ let tests =
         Alcotest.test_case "seeds" `Quick test_suite_seeds;
         Alcotest.test_case "diversity" `Quick test_suite_diversity;
         Alcotest.test_case "LLC-band members" `Quick test_suite_llc_band_members;
-      ] );
-    ( "trace.trace_file",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-        Alcotest.test_case "truncation detected" `Quick test_trace_meta_detects_truncation;
-        Alcotest.test_case "replayed SDC = live" `Quick test_trace_replay_sdc_matches_live;
-        Alcotest.test_case "miss rate monotone" `Quick test_trace_miss_rate_monotone_in_size;
       ] );
     ("trace.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

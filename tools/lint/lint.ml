@@ -8,8 +8,7 @@
    rejects is a usage-level failure: exit 2 naming the file and line.
 
    Usage: lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]...
-                   [--rules R1,R2] [--fix] [--cache FILE] [--verbose]
-                   [--report hot|units] *)
+                   [--rules R1,R2] [--fix] [--report hot|units] *)
 
 module Diag = Mppm_lint.Diag
 module Sarif = Mppm_lint.Sarif
@@ -20,7 +19,7 @@ type format = Text | Json | Sarif
 
 let usage =
   "lint.exe [--root DIR] [--format text|json|sarif] [--only RULE]... \
-   [--rules R1,R2] [--fix] [--cache FILE] [--verbose] [--report hot|units]"
+   [--rules R1,R2] [--fix] [--report hot|units]"
 
 (* --report hot: the ranked hot-path inventory.  Findings stay with the
    normal lint run; this mode is the work-list view — every function the
@@ -185,8 +184,6 @@ let () =
   let format = ref Text in
   let only = ref [] in
   let fix = ref false in
-  let cache_file = ref "" in
-  let verbose = ref false in
   let report_mode = ref "" in
   let add_rule r =
     if not (List.mem r Mppm_lint.Rule_info.all_ids) then begin
@@ -221,14 +218,6 @@ let () =
         Arg.Set fix,
         "  rewrite sources in place, applying the mechanical fixes (D1 \
          ~random:false, E1 message prefix) before linting" );
-      ( "--cache",
-        Arg.Set_string cache_file,
-        "FILE  persist per-file AST facts keyed by content fingerprint; a \
-         second run over an unchanged tree re-parses nothing" );
-      ( "--verbose",
-        Arg.Set verbose,
-        "  print facts-cache statistics (parses / cache hits)"
-      );
       ( "--report",
         Arg.String
           (fun s ->
@@ -267,11 +256,7 @@ let () =
       fixed
   end;
   let analyze () =
-    match
-      Sema.analyze_tree
-        ?cache_file:(if !cache_file = "" then None else Some !cache_file)
-        ~root:!root ()
-    with
+    match Sema.analyze_tree ~root:!root () with
     | Ok report -> report
     | Error errors ->
         List.iter
@@ -305,9 +290,6 @@ let () =
     | [] -> report.Sema.diags
     | rules -> List.filter (fun d -> List.mem d.Diag.rule rules) report.Sema.diags
   in
-  if !verbose then
-    Printf.printf "sema: parses=%d cache-hits=%d\n" report.Sema.parses
-      report.Sema.cache_hits;
   let errors = List.filter (fun d -> d.Diag.severity = Diag.Error) diags in
   (match !format with
   | Json -> print_endline (Diag.list_to_json diags)

@@ -17,14 +17,9 @@
 module Diag = Mppm_lint.Diag
 
 (* Units allowed to perform (and absorb) file/channel I/O: the profile
-   store, the binary trace store and the profile-cache directory
-   management in the experiment context. *)
-let allowlist =
-  [
-    "lib/profile/profile";
-    "lib/trace/trace_file";
-    "lib/experiments/context";
-  ]
+   store and the profile-cache directory management (profiles and private
+   streams) in the experiment context. *)
+let allowlist = [ "lib/profile/profile"; "lib/experiments/context" ]
 
 (* Units allowed to use (and absorb) the Domain/Mutex/Condition/Atomic
    concurrency surface: everything under lib/pool/. *)

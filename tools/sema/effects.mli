@@ -4,7 +4,7 @@
     them over the cross-module call graph to a fixpoint over an explicit
     join-semilattice of {!summary} values, and reports any [lib/]
     function that can transitively reach file/channel I/O outside the
-    allowlisted profile-cache / trace-file / experiment-context modules
+    allowlisted profile-store / experiment-context modules
     (S1), or the [Domain]/[Mutex]/[Condition]/[Atomic] concurrency surface
     outside [lib/pool/] (S5).  The closed summaries also back the S6/S7/S8
     parallel-determinism rules in {!Purity}. *)

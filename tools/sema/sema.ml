@@ -1,6 +1,6 @@
 (* The lint driver.
 
-   Extraction (per file, cacheable) runs the per-file rules (Filecheck)
+   Extraction (per file) runs the per-file rules (Filecheck)
    and feeds the cross-checks: S1/S5 effect containment (Effects), S2
    seed-flow (Seedflow), S3 order-sensitive float accumulation and S4
    dead exports (here), the S6/S7/S8 parallel-determinism rules
@@ -14,8 +14,6 @@ type input = { rel : string; content : string }
 
 type report = {
   diags : Diag.t list;
-  parses : int;
-  cache_hits : int;
   summaries : (string * string * string) list;
   hot : Hotpath.entry list;
   units : Units.analysis;
@@ -139,28 +137,12 @@ let s4 env facts_list =
       else [])
     facts_list
 
-let analyze ?cache_file ~dunes inputs =
-  let cache =
-    match cache_file with Some p -> Cache.load p | None -> Cache.create ()
-  in
-  let parses = ref 0 and hits = ref 0 in
+let analyze ~dunes inputs =
   let extracted =
     List.map
-      (fun { rel; content } ->
-        let rel = normalize_rel rel in
-        let k = Cache.key ~rel content in
-        match Cache.find cache k with
-        | Some f ->
-            incr hits;
-            Ok f
-        | None ->
-            incr parses;
-            let r = Facts.extract ~rel content in
-            Result.iter (Cache.add cache k) r;
-            r)
+      (fun { rel; content } -> Facts.extract ~rel:(normalize_rel rel) content)
       inputs
   in
-  (match cache_file with Some p -> Cache.store p cache | None -> ());
   match List.filter_map (function Error e -> Some e | Ok _ -> None) extracted with
   | _ :: _ as errors -> Error errors
   | [] ->
@@ -203,8 +185,6 @@ let analyze ?cache_file ~dunes inputs =
       Ok
         {
           diags;
-          parses = !parses;
-          cache_hits = !hits;
           summaries = Effects.summaries table;
           hot = Hotpath.analyze env facts_list;
           units;
@@ -240,7 +220,7 @@ let rec collect root rel_dir =
 
 let collect_tree ~root = List.concat_map (collect root) scanned_dirs
 
-let analyze_tree ?cache_file ~root () =
+let analyze_tree ~root () =
   let files = collect_tree ~root in
   let dunes, sources =
     List.partition (fun rel -> Filename.basename rel = "dune") files
@@ -261,6 +241,6 @@ let analyze_tree ?cache_file ~root () =
   Result.map
     (fun report ->
       { report with diags = List.sort Diag.compare (missing @ report.diags) })
-    (analyze ?cache_file
+    (analyze
        ~dunes:(List.map (fun rel -> (rel, read rel)) dunes)
        (List.map (fun rel -> { rel; content = read rel }) sources))

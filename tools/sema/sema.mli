@@ -1,7 +1,6 @@
 (** The lint driver: every rule over compiler-libs parse trees.
 
-    Per-file {!Facts} extraction (cacheable by content fingerprint via
-    {!Cache}) carries the per-file rules D1 D2 F1 M1 E1 O1
+    Per-file {!Facts} extraction carries the per-file rules D1 D2 F1 M1 E1 O1
     ({!Filecheck}) and feeds the cross-module checks: S1/S5 effect
     containment ({!Effects}), S2 seed-flow ({!Seedflow}), S3
     order-sensitive float accumulation over unordered [Hashtbl]
@@ -22,8 +21,6 @@ type input = { rel : string;  (** root-relative path *)
 
 type report = {
   diags : Mppm_lint.Diag.t list;  (** suppression-filtered, sorted *)
-  parses : int;  (** files actually parsed this run *)
-  cache_hits : int;  (** files served from the facts cache *)
   summaries : (string * string * string) list;
       (** [(file, function, effects)] transitive effect summaries *)
   hot : Hotpath.entry list;
@@ -44,14 +41,12 @@ val lint_source :
     separators are normalized away. *)
 
 val analyze :
-  ?cache_file:string -> dunes:(string * string) list -> input list ->
+  dunes:(string * string) list -> input list ->
   (report, Astparse.parse_error list) result
-(** [analyze ?cache_file ~dunes inputs] runs every rule over the given
-    sources.  [dunes] are the tree's dune files ([(rel, content)]), used
-    to map wrapped-library alias modules to directories and checked for
-    [unix] links.  When [cache_file] is given, per-file facts are loaded
-    from and persisted to it, so a second run over unchanged sources
-    reports zero [parses]. *)
+(** [analyze ~dunes inputs] runs every rule over the given sources.
+    [dunes] are the tree's dune files ([(rel, content)]), used to map
+    wrapped-library alias modules to directories and checked for [unix]
+    links. *)
 
 val read_file : string -> string
 (** Read a whole file as bytes. *)
@@ -66,7 +61,7 @@ val collect_tree : root:string -> string list
     [_build], [_profile_cache] and dot-directories). *)
 
 val analyze_tree :
-  ?cache_file:string -> root:string -> unit ->
+  root:string -> unit ->
   (report, Astparse.parse_error list) result
 (** {!analyze} every file of {!collect_tree}, plus the M1 check that
     every [lib/] implementation has an interface. *)
