@@ -232,14 +232,21 @@ let test_context_scan_cache () =
   Alcotest.(check int) "left behind" 4 (Array.length (Sys.readdir dir));
   remove_dir dir
 
+let sdc_bits sdc = List.map Int64.bits_of_float (Mppm_cache.Sdc.to_list sdc)
+
+(* The sum of a profile's interval SDCs. *)
+let lifetime_sdc p =
+  Array.fold_left
+    (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
+    (Mppm_cache.Sdc.create ~assoc:p.Profile.llc_assoc)
+    p.Profile.intervals
+
 (* trace-stats' oracle: at a Table 2 config's LLC geometry, [llc_sdc] is
    the sum of that config's profile interval SDCs, bit for bit, whether
    [llc_sdc] recorded the stream (benchmark 3) or a profile build did
-   (benchmark 17).  An 8-way LLC with 4x the sets (config 5 over
-   config 1) splits every set's reference stream, so it misses no more. *)
+   (benchmark 17). *)
 let test_context_llc_sdc () =
   with_ctx @@ fun ctx ->
-  let bits sdc = List.map Int64.bits_of_float (Mppm_cache.Sdc.to_list sdc) in
   List.iter
     (fun bench ->
       let llc_sdc llc_config =
@@ -250,19 +257,57 @@ let test_context_llc_sdc () =
       if bench = 3 then ignore (llc_sdc 1);
       for llc_config = 1 to Mppm_cache.Configs.llc_config_count do
         let p = Context.profile ctx ~llc_config bench in
-        let summed =
-          Array.fold_left
-            (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
-            (Mppm_cache.Sdc.create ~assoc:p.Profile.llc_assoc)
-            p.Profile.intervals
-        in
         Alcotest.(check (list int64))
           (Printf.sprintf "benchmark %d, config %d" bench llc_config)
-          (bits summed) (bits (llc_sdc llc_config))
-      done;
-      Alcotest.(check bool) "2MB misses no more than 512KB" true
-        (Mppm_cache.Sdc.misses (llc_sdc 5) <= Mppm_cache.Sdc.misses (llc_sdc 1)))
+          (sdc_bits (lifetime_sdc p)) (sdc_bits (llc_sdc llc_config))
+      done)
     [ 3; 17 ]
+
+(* ---- Recorded references -------------------------------------------------- *)
+
+(* A private stream recorded in the cache directory is the one store of
+   recorded references; these tests check its replay against live runs. *)
+
+let llc_8way kb =
+  Mppm_cache.Geometry.make ~size_bytes:(Mppm_cache.Geometry.kib kb) ~line_bytes:64
+    ~associativity:8
+
+(* At an LLC geometry no Table 2 config has (256KB 8-way, where soplex's
+   SDC has hits at several stack depths), the replayed stream's SDC is a
+   live build's, bit for bit. *)
+let test_replayed_sdc_matches_live () =
+  with_ctx @@ fun ctx ->
+  let bench = Mppm_trace.Suite.index "soplex" in
+  let benchmark = Mppm_trace.Suite.all.(bench) in
+  let llc = llc_8way 256 in
+  let base = Context.hierarchy ctx ~llc_config:1 in
+  let live =
+    Mppm_simcore.Single_core.profile
+      (Mppm_simcore.Single_core.config
+         {
+           base with
+           Mppm_cache.Hierarchy.llc = { base.Mppm_cache.Hierarchy.llc with geometry = llc };
+         })
+      ~benchmark
+      ~seed:(Mppm_trace.Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+      ~trace_instructions:tiny_scale.Scale.trace_instructions
+      ~interval_instructions:tiny_scale.Scale.interval_instructions
+  in
+  Alcotest.(check (list int64)) "replayed SDC = live SDC"
+    (sdc_bits (lifetime_sdc live))
+    (sdc_bits (Context.llc_sdc ctx ~llc bench))
+
+(* An 8-way LLC with 16x the sets splits every set's reference stream, so
+   it misses no more; soplex reuses lines at distances 1MB holds and 64KB
+   does not, so it misses strictly fewer. *)
+let test_replayed_miss_rate_monotone () =
+  with_ctx @@ fun ctx ->
+  let misses kb =
+    Mppm_cache.Sdc.misses
+      (Context.llc_sdc ctx ~llc:(llc_8way kb) (Mppm_trace.Suite.index "soplex"))
+  in
+  Alcotest.(check bool) "bigger cache, fewer misses" true
+    (misses 1024 < misses 64)
 
 let test_context_rng_purposes () =
   with_ctx @@ fun ctx ->
@@ -435,6 +480,13 @@ let test_tables_render () =
 
 let tests =
   [
+    ( "trace.trace_file",
+      [
+        Alcotest.test_case "replayed SDC = live" `Quick
+          test_replayed_sdc_matches_live;
+        Alcotest.test_case "miss rate monotone" `Quick
+          test_replayed_miss_rate_monotone;
+      ] );
     ( "experiments.scale",
       [
         Alcotest.test_case "of_trace" `Quick test_scale_of_trace;

@@ -729,12 +729,12 @@ let test_hot_root_flagged () =
     (prules r)
 
 let test_hot_transitive () =
-  let callee = ("lib/demo/alloc.ml", "let mk a b = (a, b)\n") in
-  Alcotest.(check (list string)) "no hot root, no P findings" []
-    (prules (analyze [ callee; ("lib/demo/root.ml", "let run x = Alloc.mk x x\n") ]));
   let r =
     analyze
-      [ callee; ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n") ]
+      [
+        ("lib/demo/alloc.ml", "let mk a b = (a, b)\n");
+        ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n");
+      ]
   in
   Alcotest.(check bool) "callee of a hot root is flagged" true
     (List.exists
@@ -830,6 +830,22 @@ let test_injected_allocation_rejected () =
                  && d.Diag.severity = Diag.Error
                  && contains d.Diag.message "hot")
                r.Sema.diags))
+
+(* A hot annotation added to one file flags the allocation in another,
+   unchanged file that it calls. *)
+let test_hot_annotation_reaches_callee () =
+  let callee = ("lib/demo/alloc.ml", "let mk a b = (a, b)\n") in
+  let root_plain = ("lib/demo/root.ml", "let run x = Alloc.mk x x\n") in
+  let root_hot =
+    ("lib/demo/root.ml", "(* mppm: hot *)\nlet run x = Alloc.mk x x\n")
+  in
+  Alcotest.(check (list string)) "no hot root, no P findings" []
+    (prules (analyze [ callee; root_plain ]));
+  Alcotest.(check (list string)) "hotness reaches the unchanged callee"
+    [ "lib/demo/alloc.ml" ]
+    (List.filter_map
+       (fun d -> if d.Diag.rule = "P1" then Some d.Diag.file else None)
+       (analyze [ callee; root_hot ]).Sema.diags)
 
 (* Propagation laws over the pure reachability core. *)
 let hot_graph_arb =
@@ -1251,6 +1267,8 @@ let tests =
         Alcotest.test_case "P2/P3/P4 shapes" `Quick test_p2_p3_p4_shapes;
         Alcotest.test_case "injected allocation rejected" `Quick
           test_injected_allocation_rejected;
+        Alcotest.test_case "hot annotation reaches the callee" `Quick
+          test_hot_annotation_reaches_callee;
         Alcotest.test_case "driver: unknown rule, --report hot" `Quick
           test_driver_unknown_rule_and_report;
       ] );
