@@ -80,9 +80,41 @@ let write_all fd s =
 type conn = {
   fd : Unix.file_descr;
   id : int;
-  mutable inbox : string;  (* received bytes not yet consumed by framing *)
+  (* Received bytes not yet consumed by framing: [inbox] from [start] to
+     [stop].  Reads append at [stop]; framing advances [start]. *)
+  mutable inbox : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
   mutable closing : bool;  (* close once the pending responses are out *)
 }
+
+(* The most one read takes, and the least room it is given. *)
+let read_size = 65536
+let min_room = 4096
+
+(* Reads what [conn]'s socket has, up to [read_size] bytes, into the
+   inbox; returns the count, 0 at end of stream.  The unconsumed bytes
+   move to the front first (once per read, not per frame), and the inbox
+   doubles when even that leaves too little room, so a frame of n bytes
+   costs O(n) copying however it is split. *)
+let read_into conn =
+  let pending = conn.stop - conn.start in
+  if conn.start > 0 then begin
+    Bytes.blit conn.inbox conn.start conn.inbox 0 pending;
+    conn.start <- 0;
+    conn.stop <- pending
+  end;
+  if Bytes.length conn.inbox - pending < min_room then begin
+    let bigger = Bytes.create (2 * Bytes.length conn.inbox) in
+    Bytes.blit conn.inbox 0 bigger 0 pending;
+    conn.inbox <- bigger
+  end;
+  let n =
+    Unix.read conn.fd conn.inbox conn.stop
+      (min read_size (Bytes.length conn.inbox - pending))
+  in
+  conn.stop <- conn.stop + n;
+  n
 
 (* One unit of work for the dispatch batch: a well-framed payload, or the
    framing-layer error that poisoned the connection. *)
@@ -93,20 +125,19 @@ type work = Payload of string | Garbage of Wire.error_code * string
    (answered with a structured error response) and marks the connection
    for close. *)
 let rec take_frames conn acc =
-  let data = conn.inbox in
-  if String.length data < 4 then List.rev acc
+  let available = conn.stop - conn.start in
+  if available < 4 then List.rev acc
   else
-    match Wire.frame_length (String.sub data 0 4) with
+    match Wire.frame_length (Bytes.sub_string conn.inbox conn.start 4) with
     | Error (code, msg) ->
-        conn.inbox <- "";
+        conn.start <- conn.stop;
         conn.closing <- true;
         List.rev (Garbage (code, msg) :: acc)
     | Ok len ->
-        if String.length data < 4 + len then List.rev acc
+        if available < 4 + len then List.rev acc
         else begin
-          let payload = String.sub data 4 len in
-          conn.inbox <-
-            String.sub data (4 + len) (String.length data - 4 - len);
+          let payload = Bytes.sub_string conn.inbox (conn.start + 4) len in
+          conn.start <- conn.start + 4 + len;
           take_frames conn (Payload payload :: acc)
         end
 
@@ -151,16 +182,24 @@ let serve ctx pool listen_fd =
     | fd, _ ->
         incr next_id;
         Registry.incr "serve.connections";
-        conns := !conns @ [ { fd; id = !next_id; inbox = ""; closing = false } ]
+        conns :=
+          !conns
+          @ [
+              {
+                fd;
+                id = !next_id;
+                inbox = Bytes.create min_room;
+                start = 0;
+                stop = 0;
+                closing = false;
+              };
+            ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
-  (* One read buffer for the loop: every read happens here, on the main
-     domain, and its bytes are copied into the inbox before the next. *)
-  let buf = Bytes.create 65536 in
   let read_conn conn =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match read_into conn with
     | 0 -> drop conn
-    | n -> conn.inbox <- conn.inbox ^ Bytes.sub_string buf 0 n
+    | _ -> ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         drop conn
   in

@@ -265,10 +265,3 @@ let restore t get =
     (fun n ->
       if n < 0 || n > t.ways then invalid_arg "Cache.restore: corrupt set fill")
     t.fill
-
-let counters t =
-  [
-    ("accesses", float_of_int t.accesses);
-    ("hits", float_of_int t.hits);
-    ("misses", float_of_int t.misses);
-  ]

@@ -75,7 +75,3 @@ val restore : t -> (unit -> int) -> unit
 (** [restore t get] puts [t], a cache of the same geometry, policy and
     partition, into a state {!save} produced, read through [get]. *)
 
-val counters : t -> (string * float) list
-(** The statistics counters as observability pairs
-    ([accesses]/[hits]/[misses]), ready for
-    [Mppm_obs.Registry.add_all]. *)

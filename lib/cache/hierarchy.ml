@@ -21,6 +21,7 @@ type t = {
   mutable llc_accesses : int;
   mutable llc_misses : int;
   mutable llc_depth : int;
+  tally : int array;
 }
 
 let create ?llc ?(llc_owner = 0) ?(perfect_llc = false) config =
@@ -43,6 +44,7 @@ let create ?llc ?(llc_owner = 0) ?(perfect_llc = false) config =
     llc_accesses = 0;
     llc_misses = 0;
     llc_depth = -1;
+    tally = Array.make 6 0;
   }
 
 let config t = t.config
@@ -101,13 +103,22 @@ let llc_depth t = t.llc_depth
 let llc_accesses t = t.llc_accesses
 let llc_misses t = t.llc_misses
 
+let tally t = t.tally
+
 let counters t =
-  let level name cache =
-    List.map (fun (k, v) -> (name ^ "." ^ k, v)) (Cache.counters cache)
+  (* A cache's own statistics plus the tallied outcomes it did not
+     simulate. *)
+  let level name cache ~hits ~misses =
+    [
+      (name ^ ".accesses", float_of_int (Cache.accesses cache + hits + misses));
+      (name ^ ".hits", float_of_int (Cache.hits cache + hits));
+      (name ^ ".misses", float_of_int (Cache.misses cache + misses));
+    ]
   in
-  level "l1i" t.l1i_cache
-  @ level "l1d" t.l1d_cache
-  @ level "l2" t.l2_cache
+  let f = t.tally in
+  level "l1i" t.l1i_cache ~hits:f.(0) ~misses:(f.(1) + f.(2))
+  @ level "l1d" t.l1d_cache ~hits:f.(3) ~misses:(f.(4) + f.(5))
+  @ level "l2" t.l2_cache ~hits:(f.(1) + f.(4)) ~misses:(f.(2) + f.(5))
   (* The LLC may be shared between cores; report this core's own view. *)
   @ [
       ("llc.accesses", float_of_int t.llc_accesses);

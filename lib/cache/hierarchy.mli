@@ -62,6 +62,13 @@ val access_llc : t -> addr:int -> int  (* mppm: unit _ *)
     leaving the outcome in {!llc_depth}.  [access t ~kind ~addr] is
     [access_private] followed, on [2], by [access_llc]. *)
 
+val tally : t -> int array
+(** Counts of private outcomes the L1s and the L2 did not simulate, by
+    {!access_private} level code: cell [level] for fetches, [3 + level]
+    for data accesses.  A core replaying a recorded private stream counts
+    its accesses here, and {!counters} adds them to the caches' own
+    statistics, so they equal a live core's. *)
+
 val save_private : t -> (int -> unit) -> unit
 (** [save_private t put] hands the L1I, L1D and L2 states ({!Cache.save})
     to [put], in that order. *)
@@ -89,7 +96,8 @@ val llc_misses : t -> int  (* mppm: unit accesses *)
 
 val counters : t -> (string * float) list
 (** Per-level aggregate counters as observability pairs:
-    [l1i.*]/[l1d.*]/[l2.*] from the private caches' statistics, plus this
+    [l1i.*]/[l1d.*]/[l2.*] from the private caches' statistics and the
+    {!tally}, plus this
     core's own [llc.accesses]/[llc.hits]/[llc.misses] (correct even when
     the LLC instance is shared).  Ready for
     [Mppm_obs.Registry.add_all]. *)

@@ -5,6 +5,7 @@ module Suite = Mppm_trace.Suite
 module Single_core = Mppm_simcore.Single_core
 module Private_stream = Mppm_simcore.Private_stream
 module Core_model = Mppm_simcore.Core_model
+module Core_engine = Mppm_simcore.Core_engine
 module Multi_core = Mppm_multicore.Multi_core
 module Profile = Mppm_profile.Profile
 module Model = Mppm_core.Model
@@ -25,6 +26,8 @@ type t = {
   streams : (int, string * (int * Profile.t) option) Single_flight.t;
       (* per benchmark: the stream's path, and the profile whose live
          build recorded it, with its config *)
+  segments : (int * int, string) Single_flight.t;
+      (* per (benchmark, k >= 1): the path of the stream's segment k *)
   offsets : int array;  (* per-core-slot address offsets *)
 }
 
@@ -42,6 +45,7 @@ let create ?(core = Core_model.default) ?(seed = 42) ~cache_dir scale =
     cache_dir;
     profiles = Single_flight.create ~metric:"profile_cache" ();
     streams = Single_flight.create ~metric:"stream_cache" ();
+    segments = Single_flight.create ~metric:"stream_cache" ();
     offsets = Multi_core.default_offsets ~seed max_cores;
   }
 
@@ -129,27 +133,32 @@ let fold_digest h buf len =
 (* The FNV-1a 64 offset basis. *)
 let digest_basis = 0xcbf29ce484222325L
 
-let stream_reader t bench_index ~refill ~close =
-  let benchmark = Suite.all.(bench_index) in
-  match
-    Private_stream.reader ~benchmark
-      ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
-      ~instructions:t.scale.Scale.trace_instructions
-      ~hierarchy:(hierarchy t ~llc_config:1) ~refill ~close
-  with
-  | r -> r
-  | exception e ->
-      close ();
-      raise e
+(* Segment [k >= 1] of the stream at [stream_path] is at
+   [segment_prefix ^ k ^ ".stream"]: stale with it. *)
+let segment_prefix t bench_index =
+  Filename.chop_suffix (stream_path t bench_index) ".stream" ^ "-seg"
 
-let open_stream t bench_index path =
+let segment_path t bench_index k =
+  Printf.sprintf "%s%d.stream" (segment_prefix t bench_index) k
+
+let stream_header_args t bench_index =
+  let benchmark = Suite.all.(bench_index) in
+  ( benchmark,
+    Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
+    t.scale.Scale.trace_instructions,
+    hierarchy t ~llc_config:1 )
+
+(* A stored segment's bytes.  The channel's 64 KB C buffer is freed only
+   when the GC finalizes the closed channel (see {!detailed}). *)
+let file_source path =
   let ic = open_in_bin path in
-  stream_reader t bench_index ~refill:(input ic) ~close:(fun () -> close_in ic)
+  { Private_stream.refill = input ic; close = (fun () -> close_in ic) }
 
 (* Raises [Failure] unless [path] holds a length matching its footer, the
-   footer's digest, and a stream header (magic, format version, seed,
-   length, benchmark, private levels) for this benchmark and context. *)
-let check_stream t bench_index path =
+   footer's digest, and the header (magic, format version, seed, length,
+   benchmark, private levels, position) of segment [segment] of this
+   benchmark's stream in this context. *)
+let check_stream t bench_index ~segment path =
   let fail msg =
     failwith (Printf.sprintf "Context.check_stream: %s: %s" path msg)
   in
@@ -173,21 +182,24 @@ let check_stream t bench_index path =
       if not (Int64.equal (String.get_int64_be footer 0) digest) then
         fail "digest mismatch";
       seek_in ic 0;
-      Private_stream.close
-        (stream_reader t bench_index ~refill:(input ic) ~close:ignore))
+      let benchmark, seed, instructions, hierarchy =
+        stream_header_args t bench_index
+      in
+      Private_stream.check_header ~segment ~benchmark ~seed ~instructions
+        ~hierarchy
+        { Private_stream.refill = input ic; close = ignore })
 
-(* The live profile build that records benchmark [bench_index]'s stream to
-   [path] as it goes.  The bytes go to a ".tmp" file of this writer's own
-   and are renamed into place, so neither a concurrent writer of the same
-   stream (another process recording the same bytes) nor a reader ever
-   sees a partial file. *)
-let record_stream t ~llc_config bench_index path =
-  let benchmark = Suite.all.(bench_index) in
+(* Writes the stream bytes [produce write] hands to [write] to [path],
+   with their footer, and returns what [produce] does.  The bytes go to a
+   ".tmp" file of this writer's own and are renamed into place, so neither
+   a concurrent writer of the same segment (another process recording the
+   same bytes) nor a reader ever sees a partial file. *)
+let write_stream t path produce =
   let tmp, oc =
     Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
       ~temp_dir:t.cache_dir (Filename.basename path ^ ".") ".tmp"
   in
-  let p =
+  let result =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
@@ -211,44 +223,87 @@ let record_stream t ~llc_config bench_index path =
           if !filled = block_bytes then emit ();
           if n < len then write buf (pos + n) (len - n)
         in
-        let p =
-          compute_profile t (hierarchy t ~llc_config) bench_index
-            ~record:
-              (Private_stream.recorder ~benchmark
-                 ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
-                 ~instructions:t.scale.Scale.trace_instructions
-                 ~hierarchy:(hierarchy t ~llc_config) ~write)
-        in
+        let result = produce write in
         emit ();
         let footer = Bytes.create footer_bytes in
         Bytes.set_int64_be footer 0 !digest;
         Bytes.set_int64_be footer 8 (Int64.of_int !length);
         Out_channel.output_bytes oc footer;
-        p)
+        result)
   in
   Sys.rename tmp path;
-  (path, Some (llc_config, p))
+  result
+
+(* A segment at [path]: a hit if the file passes [check], else recorded
+   by [record] (a miss, and also corrupt if a file was there). *)
+let cached_stream path ~check ~record =
+  if Sys.file_exists path then (
+    match check () with
+    | () ->
+        Registry.incr "stream_cache.hits";
+        None
+    | exception Failure _ ->
+        Registry.incr "stream_cache.misses";
+        Registry.incr "stream_cache.corrupt";
+        Some (record ()))
+  else begin
+    Registry.incr "stream_cache.misses";
+    Some (record ())
+  end
 
 (* Benchmark [bench_index]'s stream, memoized per context: a checked cache
    file, or recorded by a live build of its [llc_config] profile, which
-   comes back with it.  A file that fails its check is a miss and is
-   recorded anew. *)
+   comes back with it. *)
 let stream_entry t ~llc_config bench_index =
   Single_flight.get t.streams bench_index (fun _ ->
       let path = stream_path t bench_index in
-      if Sys.file_exists path then (
-        match check_stream t bench_index path with
-        | () ->
-            Registry.incr "stream_cache.hits";
-            (path, None)
-        | exception Failure _ ->
-            Registry.incr "stream_cache.misses";
-            Registry.incr "stream_cache.corrupt";
-            record_stream t ~llc_config bench_index path)
-      else begin
-        Registry.incr "stream_cache.misses";
-        record_stream t ~llc_config bench_index path
-      end)
+      let benchmark, seed, instructions, h = stream_header_args t bench_index in
+      ( path,
+        cached_stream path
+          ~check:(fun () -> check_stream t bench_index ~segment:0 path)
+          ~record:(fun () ->
+            write_stream t path (fun write ->
+                ( llc_config,
+                  compute_profile t (hierarchy t ~llc_config) bench_index
+                    ~record:
+                      (Private_stream.recorder ~benchmark ~seed ~instructions
+                         ~hierarchy:h write) ))) ))
+
+(* Segment [k >= 1] of benchmark [bench_index]'s stream, memoized per
+   context: a checked cache file, or recorded on first demand from
+   [trailer], segment [k - 1]'s trailer, by the replay that needs it. *)
+let segment_entry t bench_index k ~trailer =
+  Single_flight.get t.segments (bench_index, k) (fun _ ->
+      let path = segment_path t bench_index k in
+      let benchmark, seed, instructions, h = stream_header_args t bench_index in
+      let record () =
+        write_stream t path (fun write ->
+            Core_engine.record_segment h ~benchmark ~seed ~trailer
+              (Private_stream.recorder ~segment:k ~benchmark ~seed
+                 ~instructions ~hierarchy:h write));
+        (* The recording's caches, generator and channel are garbage now,
+           and the replay it serves allocates nothing that would pace the
+           GC into collecting them. *)
+        Gc.major ()
+      in
+      ignore
+        (cached_stream path
+           ~check:(fun () -> check_stream t bench_index ~segment:k path)
+           ~record);
+      path)
+
+(* A reader of benchmark [bench_index]'s stream at [path]; [chained]
+   makes it replay on through segments 1, 2, ... *)
+let open_stream ?(chained = false) t bench_index path =
+  let benchmark, seed, instructions, hierarchy =
+    stream_header_args t bench_index
+  in
+  let next ~segment ~trailer =
+    file_source (segment_entry t bench_index segment ~trailer)
+  in
+  Private_stream.reader
+    ?next:(if chained then Some next else None)
+    ~benchmark ~seed ~instructions ~hierarchy (file_source path)
 
 (* Benchmark [bench_index]'s profile on [hierarchy], replayed from its
    stream at [path]. *)
@@ -330,8 +385,27 @@ let scan_cache t =
       live (cache_path t ~llc_config:cfg i)
     done
   done;
-  (* "name-cfgN-<digest>.prof" profiles and "name-stream-<digest>.stream"
-     private streams. *)
+  (* Segments "name-stream-<digest>-segK.stream" of a live stream. *)
+  let segment_prefixes =
+    Array.init Suite.count (fun i -> Filename.basename (segment_prefix t i))
+  in
+  let live_segment f =
+    Filename.check_suffix f ".stream"
+    && Array.exists
+         (fun prefix ->
+           String.starts_with ~prefix f
+           &&
+           let digits =
+             String.sub f (String.length prefix)
+               (String.length f - String.length prefix - String.length ".stream")
+           in
+           match int_of_string_opt digits with
+           | Some k -> k >= 1 && String.equal digits (string_of_int k)
+           | None -> false)
+         segment_prefixes
+  in
+  (* "name-cfgN-<digest>.prof" profiles and "name-stream-<digest>*.stream"
+     private streams and their segments. *)
   let recognized f =
     let named kind suffix =
       Filename.check_suffix f suffix
@@ -354,7 +428,7 @@ let scan_cache t =
            away on success, so a survivor is an interrupted writer's
            leftover. *)
         { report with cr_tmp = f :: report.cr_tmp }
-      else if Hashtbl.mem live_names f then
+      else if Hashtbl.mem live_names f || live_segment f then
         { report with cr_live = f :: report.cr_live }
       else if recognized f then
         { report with cr_stale = f :: report.cr_stale }
@@ -420,7 +494,8 @@ let detailed ?llc_partition t ~llc_config mix =
      Array.iteri
        (fun slot i ->
          replays.(slot) <-
-           Some (open_stream t i (fst (stream_entry t ~llc_config i))))
+           Some
+             (open_stream ~chained:true t i (fst (stream_entry t ~llc_config i))))
        indices
    with e ->
      Array.iter (Option.iter Private_stream.close) replays;
@@ -431,10 +506,9 @@ let detailed ?llc_partition t ~llc_config mix =
       ~programs:specs
       ~trace_instructions:t.scale.Scale.trace_instructions
   in
-  (* Each slot's stream channel holds a 64 KB C buffer, filled on every
-     refill, that only the GC's finalizer frees; the channels were open for
-     the whole run, so finish the major cycle to keep a pass's worth of
-     them from piling up. *)
+  (* Each segment a slot read, and each one recorded, held a channel with
+     a 64 KB C buffer that only the GC's finalizer frees; finish the major
+     cycle to keep a pass's worth of them from piling up. *)
   Gc.major ();
   let m_cpi_multi =
     Array.map

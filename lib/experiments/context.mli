@@ -58,22 +58,25 @@ val profile : t -> llc_config:int -> int -> Mppm_profile.Profile.t
     stream ({!Mppm_simcore.Private_stream}: what its L1I, L1D and L2 did,
     which no Table 2 config changes) in the same pass; its other builds,
     every {!detailed} slot and {!llc_sdc} replay that stream, with
-    bit-identical results.  The stream is stored next to the profiles as
-    ["name-stream-<digest>.stream"] and counted under [stream_cache.*]:
-    [memo_hits], [hits]
-    (a file passed its length, digest and header check), [misses]
+    bit-identical results.  The stream's first segment is stored next to
+    the profiles as ["name-stream-<digest>.stream"]; the segments a
+    {!detailed} run reaches past it as
+    ["name-stream-<digest>-segK.stream"] (see {!detailed}).  Every
+    segment lookup is counted under [stream_cache.*]: [memo_hits],
+    [hits] (a file passed its length, digest and header check), [misses]
     (recorded) and [corrupt] (a file failed the check: a miss, and it is
     recorded anew). *)
 
 (** Classification of a profile-cache directory's contents. *)
 type cache_report = {
   cr_live : string list;
-      (** basenames some (benchmark, Table 2 config) profile or some
-          benchmark's private stream maps to under the current context
-          settings *)
+      (** basenames some (benchmark, Table 2 config) profile, some
+          benchmark's private stream or a segment [k >= 1] of it maps to
+          under the current context settings *)
   cr_stale : string list;
       (** recognized ["name-cfgN-*.prof"] and ["name-stream-*.stream"]
-          entries whose fingerprint digest matches no current entry *)
+          entries that are none of those: a segment is stale with its
+          stream *)
   cr_tmp : string list;
       (** orphaned ["*.tmp"] staging files left by an interrupted atomic
           profile or stream write *)
@@ -118,9 +121,13 @@ val detailed :
 (** Runs the detailed multi-core simulator on the mix (program seeds match
     the profiling runs; per-slot address offsets are deterministic in the
     context seed).  [llc_partition] way-partitions the shared LLC per core
-    slot.  Every slot replays its benchmark's private stream for the first
-    pass and continues live past it (see {!profile}); the result equals an
-    all-live {!Mppm_multicore.Multi_core.run} bit for bit. *)
+    slot.  Every slot replays its benchmark's private stream (see
+    {!profile}) for the first pass and for every instruction past it: a
+    slot that outruns a segment crosses into the next, which is read from
+    the cache directory or, the first time any run needs it, recorded
+    there from the previous segment's trailer, inside this call.  No
+    instruction runs live, and the result equals an all-live
+    {!Mppm_multicore.Multi_core.run} bit for bit. *)
 
 val predict :
   ?obs:Mppm_obs.Trace.t ->

@@ -69,7 +69,9 @@ let run ?compute_scales ?replays cfg ~programs ~trace_instructions =
     when Array.length r <> Array.length programs
          || Array.exists
               (function
-                | Some r -> Private_stream.recorded_end r <> trace_instructions
+                | Some r ->
+                    (not (Private_stream.chained r))
+                    || Private_stream.recorded_end r <> trace_instructions
                 | None -> false)
               r ->
       invalid_arg "Multi_core.run: replays do not match the mix"
@@ -160,11 +162,7 @@ let run ?compute_scales ?replays cfg ~programs ~trace_instructions =
   (* End-of-run aggregates only: a coarse boundary, never the hot path. *)
   let module Registry = Mppm_obs.Registry in
   let replayed =
-    trace_instructions
-    * Array.fold_left
-        (fun n r -> if Option.is_some r then n + 1 else n)
-        0
-        (Option.value replays ~default:[||])
+    Array.fold_left (fun acc core -> acc + Core_engine.replayed core.engine) 0 cores
   in
   let retired =
     Array.fold_left (fun acc p -> acc + p.total_retired) 0 programs

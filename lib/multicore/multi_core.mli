@@ -56,6 +56,10 @@ type result = {
   llc_total_misses : int;  (* mppm: unit accesses *)
 }
 
+val post_pass_cap : int  (* mppm: unit insns *)
+(** The block cap of a core past its first pass: large, so the step loop
+    stays cheap, while blocks stay bounded by the program's memory gaps. *)
+
 val run :  (* mppm: unit result *)
   ?compute_scales:float array ->
   ?replays:Mppm_simcore.Private_stream.reader option array ->
@@ -72,13 +76,13 @@ val run :  (* mppm: unit result *)
     Each program's offset is applied at the LLC boundary
     ({!Mppm_simcore.Core_engine.create} [~llc_offset]), so it must be
     line-aligned, as {!default_offsets} are.  [replays.(i)], when [Some],
-    is a recorded private stream of program [i] ({!Mppm_simcore.Private_stream})
-    of length [trace_instructions]: core [i] replays its first pass and
-    continues live from the stream's trailer, with results bit-identical
-    to a live run.  [run] closes every reader it is given.  The end-of-run
-    counters [multicore.replayed_instructions] and
-    [multicore.live_instructions] split the retired instructions by
-    source. *)
+    is a chained reader ({!Mppm_simcore.Private_stream.chained}) of
+    program [i]'s private stream, whose segments are [trace_instructions]
+    long: core [i] replays its first pass and every re-iteration past it,
+    crossing segments as it goes, with results bit-identical to a live
+    run.  [run] closes every reader it is given.  The end-of-run counters
+    [multicore.replayed_instructions] and [multicore.live_instructions]
+    split the retired instructions by source, core by core. *)
 
 val default_offsets : ?seed:int -> int -> int array  (* mppm: unit seed:1 -> programs -> bytes *)
 (** [default_offsets ~seed n] is [n] address-space offsets that (a) are

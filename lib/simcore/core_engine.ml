@@ -13,12 +13,13 @@ type t = {
   hierarchy : Hierarchy.t;
   generator : Generator.t;
   llc_offset : int;
-  (* The front end's source: a replayed private stream up to its recorded
-     length, else the generator and the private caches, teeing into a
-     recorder until its recorded length. *)
-  mutable replay : Private_stream.reader option;
+  tally : int array;  (* the hierarchy's, counting replayed outcomes *)
+  (* The front end's source: a replayed private stream, else the generator
+     and the private caches, teeing into a recorder until its recorded
+     length. *)
+  replay : Private_stream.reader option;
   mutable record : Private_stream.recorder option;
-  mutable stream_end : int;  (* the stream's recorded length; max_int without one *)
+  mutable stream_end : int;  (* where the source stops; max_int if it does not *)
   mutable retired : int;
   sdc_profiler : Sdc_profiler.t option;
   memory_channel : Memory_channel.t option;
@@ -47,7 +48,10 @@ let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0)
   | Some r, None ->
       if not (Private_stream.matches r ~benchmark ~hierarchy:config) then
         invalid_arg "Core_engine.create: stream of another benchmark or hierarchy"
-  | None, _ -> ());
+  | None, Some w ->
+      if Private_stream.recorded_start w <> 0 then
+        invalid_arg "Core_engine.create: a core records segment 0 only"
+  | None, None -> ());
   if
     (Option.is_some replay || Option.is_some record)
     && Generator.retired generator <> 0
@@ -58,10 +62,12 @@ let create ?sdc_profiler ?memory_channel ?(compute_scale = 1.0)
     hierarchy;
     generator;
     llc_offset;
+    tally = Hierarchy.tally hierarchy;
     replay;
     record;
     stream_end =
       (match (replay, record) with
+      | Some r, _ when Private_stream.chained r -> max_int
       | Some r, _ -> Private_stream.recorded_end r
       | None, Some w -> Private_stream.recorded_length w
       | None, None -> max_int);
@@ -95,9 +101,9 @@ let llc_level t addr =
 let fetch_level t =
   match t.replay with
   | Some r -> (
-      match Private_stream.take_fetch r with
-      | 2 -> llc_level t (Private_stream.addr r)
-      | level -> level)
+      let level = Private_stream.take_fetch r in
+      t.tally.(level) <- t.tally.(level) + 1;
+      match level with 2 -> llc_level t (Private_stream.addr r) | level -> level)
   | None -> (
       let addr = Generator.next_fetch t.generator in
       let level =
@@ -112,9 +118,9 @@ let fetch_level t =
 let data_level t kind =
   match t.replay with
   | Some r -> (
-      match Private_stream.take_access r with
-      | 2 -> llc_level t (Private_stream.addr r)
-      | level -> level)
+      let level = Private_stream.take_access r in
+      t.tally.(3 + level) <- t.tally.(3 + level) + 1;
+      match level with 2 -> llc_level t (Private_stream.addr r) | level -> level)
   | None -> (
       let addr = Generator.emitted_addr t.generator in
       let level =
@@ -163,28 +169,20 @@ let issue_fetches t count =
           clock.cycles +. (t.compute_scale *. stalls.Core_model.fetch.(level))
   done
 
-(* At the recorded length a recorder gets the engine's state as its
-   trailer, and a replayed core takes that state over and goes on live. *)
+(* At its recorded length a recorder gets the engine's state as its
+   trailer and the core goes on live; a replay without a next segment
+   ends there. *)
 let end_of_stream t =
-  t.stream_end <- max_int;
-  (match t.record with
-  | Some w ->
+  match (t.record, t.replay) with
+  | Some w, _ ->
       t.record <- None;
+      t.stream_end <- max_int;
       Private_stream.finish_recording w ~trailer:(fun put ->
           put t.fetch_debt;
           Generator.save t.generator put;
           Hierarchy.save_private t.hierarchy put)
-  | None -> ());
-  match t.replay with
-  | Some r ->
-      t.replay <- None;
-      let get () = Private_stream.trailer_int r in
-      if get () <> t.fetch_debt then
-        failwith "Core_engine.step: stream trailer does not fit this core";
-      Generator.restore t.generator get;
-      Hierarchy.restore_private t.hierarchy get;
-      Private_stream.finish_replay r
-  | None -> ()
+  | None, Some r -> Private_stream.close r
+  | None, None -> ()
 
 (* mppm: hot — per-instruction simulator step *)
 let step t ~cap =
@@ -249,6 +247,44 @@ let step t ~cap =
   instructions
 
 let retired t = t.retired
+let replayed t = match t.replay with Some _ -> t.retired | None -> 0
+
+let record_segment config ~benchmark ~seed ~trailer w =
+  let generator = Generator.create ~seed benchmark in
+  let caches = Hierarchy.create config in
+  let fetch_debt = ref (trailer ()) in
+  Generator.restore generator trailer;
+  Hierarchy.restore_private caches trailer;
+  let start = Private_stream.recorded_start w in
+  let stop = start + Private_stream.recorded_length w in
+  if
+    Generator.retired generator <> start
+    || !fetch_debt <> start mod Generator.instructions_per_fetch
+  then failwith "Core_engine.record_segment: trailer does not fit the segment";
+  (* The live front end of {!step}, without an LLC or a clock. *)
+  while Generator.retired generator < stop do
+    let n = Generator.emit generator ~cap:(stop - Generator.retired generator) in
+    fetch_debt := !fetch_debt + n;
+    while !fetch_debt >= Generator.instructions_per_fetch do
+      fetch_debt := !fetch_debt - Generator.instructions_per_fetch;
+      let addr = Generator.next_fetch generator in
+      Private_stream.record_fetch w ~addr
+        ~level:(Hierarchy.access_private caches ~kind:Hierarchy.Fetch ~addr)
+    done;
+    match Generator.emitted_kind generator with
+    | 0 -> ()
+    | kind ->
+        let addr = Generator.emitted_addr generator and store = Int.equal kind 2 in
+        Private_stream.record_access w ~position:(Generator.retired generator)
+          ~store ~addr
+          ~level:
+            (Hierarchy.access_private caches ~addr
+               ~kind:(if store then Hierarchy.Store else Hierarchy.Load))
+  done;
+  Private_stream.finish_recording w ~trailer:(fun put ->
+      put !fetch_debt;
+      Generator.save generator put;
+      Hierarchy.save_private caches put)
 
 let hierarchy t = t.hierarchy
 let clock t = t.clock

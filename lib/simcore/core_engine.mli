@@ -9,9 +9,11 @@
     the same blocks, fetch and data level codes and LLC-bound addresses
     without running the generator or the L1/L2.  Both feed the same clock
     arithmetic, so a replayed core's counters equal a live one's bit for
-    bit.  At the recorded length a replayed core loads the recording's
-    trailer (generator, fetch debt and private-cache state) and goes on
-    live.
+    bit.  A replayed core never goes live: a chained reader crosses into
+    the stream's next segment wherever a block reaches past the current
+    one, and {!record_segment}, the live front end alone, records that
+    segment from the previous one's trailer (generator, fetch debt and
+    private-cache state) the first time it is needed.
 
     The engine pulls blocks from its source,
     charges base CPI for every retired instruction, issues one instruction
@@ -74,12 +76,15 @@ val create :
     generator.
 
     [replay] makes the core replay a recorded private stream of
-    [generator]'s benchmark up to its recorded length, then continue live
-    with [generator] (which must be fresh) restored from the stream's
-    trailer.  [record] tees the live run into a recorder, which gets its
-    trailer when the core reaches the recorded length.  While a stream is
-    being replayed or recorded, {!step}'s [cap] must not run past the
-    recorded length. *)
+    [generator]'s benchmark (which must be fresh and is never run), for
+    as long as the reader goes: without end if it is
+    {!Private_stream.chained}, else up to its recorded length, where the
+    reader is closed.  The private caches are not simulated, but their
+    statistics are kept ({!Mppm_cache.Hierarchy.tally}).  [record]
+    tees the live run into a recorder of segment 0, which gets its
+    trailer when the core reaches the recorded length.  {!step}'s [cap]
+    must not run past the recorded length of an unchained replay or of a
+    recording in progress. *)
 
 val step : t -> cap:int -> int  (* mppm: unit cap:insns -> insns *)
 (** [step t ~cap] executes the next op block, retiring at most [cap]
@@ -88,6 +93,26 @@ val step : t -> cap:int -> int  (* mppm: unit cap:insns -> insns *)
 
 val retired : t -> int  (* mppm: unit insns *)
 (** Total instructions retired. *)
+
+val replayed : t -> int  (* mppm: unit insns *)
+(** Instructions retired from a replayed stream: {!retired} for a core
+    created with [~replay], 0 for a live one. *)
+
+val record_segment :
+  Mppm_cache.Hierarchy.config ->
+  benchmark:Mppm_trace.Benchmark.t ->
+  seed:int ->
+  trailer:(unit -> int) ->
+  Private_stream.recorder ->
+  unit
+(** [record_segment config ~benchmark ~seed ~trailer w] records segment
+    [k >= 1] of [benchmark]'s private stream into [w] (created with
+    [~segment:k]): it restores the fetch debt, a generator under [seed]
+    and [config]'s private caches from [trailer], the state at the end of
+    segment [k - 1] read int by int, and runs the generator and private
+    caches live through segment [k], with no LLC and no clock.  The
+    result is the segment a live core would have recorded there.  Raises
+    [Failure] if the trailer does not end where segment [k] starts. *)
 
 val hierarchy : t -> Mppm_cache.Hierarchy.t
 (** The hierarchy this core drives, e.g. for

@@ -1,24 +1,29 @@
 module Benchmark = Mppm_trace.Benchmark
 module Hierarchy = Mppm_cache.Hierarchy
 
-(* File layout (all integers LEB128 varints):
+(* File layout of segment k, which covers instructions [kT, (k+1)T) (all
+   integers LEB128 varints):
 
-     header   magic (8 bytes), format version, seed, recorded length T,
-              benchmark name, private-hierarchy key (length-prefixed)
+     header   magic (8 bytes), format version, seed, segment length T,
+              benchmark name, private-hierarchy key (length-prefixed);
+              segments k >= 1 have a magic of their own and end the
+              header with k
      events   per data access: a header word ((distance - 1) lsl 3 | store
               lsl 2 | level), then the fetch records since the previous
               access (a level byte each, followed by the byte address when
               the level is 2), then the access's own byte address when its
-              level is 2.  A final header word with level 3 marks T + 1,
-              a position no consumer reaches; the fetch records up to T
-              follow it.
+              level is 2.  Distances count from the previous access, or
+              from kT for the segment's first.  A final header word with
+              level 3 marks (k+1)T + 1, a position no consumer reaches in
+              this segment; the fetch records up to (k+1)T follow it.
      trailer  zigzag-coded ints: the fetch debt, the generator state and
-              the L1I, L1D and L2 states at instruction T; then their
+              the L1I, L1D and L2 states at instruction (k+1)T; then their
               count.
 
    Integrity (length and digest) belongs to whoever stores the bytes. *)
 
 let magic = "MPPMPRV\x01"
+let continuation_magic = "MPPMPRC\x01"
 let format_version = 1
 let chunk_bytes = 2048
 
@@ -44,6 +49,7 @@ type recorder = {
      which is only known once the access is emitted. *)
   mutable pending : Bytes.t;
   mutable pending_len : int;
+  recorded_start : int;
   recorded_length : int;
   mutable last_position : int;
   mutable finished : bool;
@@ -120,9 +126,10 @@ let rec put_pending w from =
   end
   else w.pending_len <- 0
 
-let recorder ~benchmark ~seed ~instructions ~hierarchy ~write =
+let recorder ?(segment = 0) ~benchmark ~seed ~instructions ~hierarchy write =
   if instructions <= 0 then
     invalid_arg "Private_stream.recorder: instructions <= 0";
+  if segment < 0 then invalid_arg "Private_stream.recorder: segment < 0";
   let w =
     {
       write;
@@ -130,19 +137,22 @@ let recorder ~benchmark ~seed ~instructions ~hierarchy ~write =
       out_len = 0;
       pending = Bytes.create 4096;
       pending_len = 0;
+      recorded_start = segment * instructions;
       recorded_length = instructions;
-      last_position = 0;
+      last_position = segment * instructions;
       finished = false;
     }
   in
-  put_raw w magic;
+  put_raw w (if Int.equal segment 0 then magic else continuation_magic);
   put_varint w format_version;
   put_varint w (zigzag seed);
   put_varint w instructions;
   put_string w benchmark.Benchmark.name;
   put_string w (private_key hierarchy);
+  if segment > 0 then put_varint w segment;
   w
 
+let recorded_start w = w.recorded_start
 let recorded_length w = w.recorded_length
 
 let record_fetch w ~level ~addr =
@@ -183,7 +193,7 @@ let record_access w ~position ~store ~level ~addr =
 
 let finish_recording w ~trailer =
   if w.finished then invalid_arg "Private_stream.finish_recording: already finished";
-  put_header w ~position:(w.recorded_length + 1) ~code:3;
+  put_header w ~position:(w.recorded_start + w.recorded_length + 1) ~code:3;
   let count = ref 0 in
   trailer (fun n ->
       put_varint w (zigzag n);
@@ -194,27 +204,35 @@ let finish_recording w ~trailer =
 
 (* ---- replay ---------------------------------------------------------- *)
 
-type reader = {
+type source = {
   refill : Bytes.t -> int -> int -> int;
   close : unit -> unit;
-  buf : Bytes.t;
+}
+
+type reader = {
+  mutable source : source;  (* the current segment's bytes *)
+  next : (segment:int -> trailer:(unit -> int) -> source) option;
+  mutable buf : Bytes.t;
   mutable pos : int;
   mutable lim : int;
+  side : Buffer.t;  (* fetch records set aside while crossing segments *)
   phases : Benchmark.phase array;
   durations : int array;
   mutable phase_idx : int;
   mutable phase_remaining : int;
   mutable retired : int;
-  length : int;
+  length : int;  (* of every segment *)
+  stop : int;  (* the end of replay: [length], or max_int with [next] *)
+  mutable segment : int;
   (* The next data access: instructions until it retires, store bit and
-     private level (3 = the end marker). *)
+     private level (3 = the current segment's end marker). *)
   mutable distance : int;
   mutable next_store : bool;
   mutable next_level : int;
   mutable emitted_kind : int;
   mutable addr : int;
   mutable closed : bool;
-  mutable trailer_ints : int;  (* read so far; -1 before the trailer *)
+  seed : int;
   name : string;
   key : string;
 }
@@ -226,7 +244,7 @@ let corrupt fmt =
 let byte r =
   if r.pos >= r.lim then begin
     r.pos <- 0;
-    r.lim <- r.refill r.buf 0 (Bytes.length r.buf);
+    r.lim <- r.source.refill r.buf 0 (Bytes.length r.buf);
     (* mppm: cold — a stream cut short *)
     if r.lim <= 0 then corrupt "truncated stream"
   end;
@@ -264,46 +282,67 @@ let read_header r =
   end
   else set_header r (varint r)
 
-let reader ~benchmark ~seed ~instructions ~hierarchy ~refill ~close =
-  let schedule = Array.of_list benchmark.Benchmark.schedule in
-  let r =
-    {
-      refill;
-      close;
-      buf = Bytes.create chunk_bytes;
-      pos = 0;
-      lim = 0;
-      phases = Array.map fst schedule;
-      durations = Array.map snd schedule;
-      phase_idx = 0;
-      phase_remaining = snd schedule.(0);
-      retired = 0;
-      length = instructions;
-      distance = 0;
-      next_store = false;
-      next_level = 0;
-      emitted_kind = 0;
-      addr = 0;
-      closed = false;
-      trailer_ints = -1;
-      name = benchmark.Benchmark.name;
-      key = private_key hierarchy;
-    }
-  in
+(* Raises unless the bytes ahead are the header of segment [segment] of
+   this reader's stream. *)
+let check_segment_header r ~segment =
   let check what ok = if not ok then corrupt "%s does not match" what in
+  let magic = if Int.equal segment 0 then magic else continuation_magic in
   check "magic" (String.init (String.length magic) (fun _ -> Char.chr (byte r)) = magic);
   check "format version" (varint r = format_version);
-  check "seed" (unzigzag (varint r) = seed);
-  check "recorded length" (varint r = instructions);
+  check "seed" (unzigzag (varint r) = r.seed);
+  check "recorded length" (varint r = r.length);
   check "benchmark" (read_string r = r.name);
   check "private hierarchy" (read_string r = r.key);
-  read_header r;
-  r
+  if segment > 0 then check "segment" (varint r = segment)
+
+let make ?next ~benchmark ~seed ~instructions ~hierarchy source =
+  let schedule = Array.of_list benchmark.Benchmark.schedule in
+  {
+    source;
+    next;
+    buf = Bytes.create chunk_bytes;
+    pos = 0;
+    lim = 0;
+    side = Buffer.create 256;
+    phases = Array.map fst schedule;
+    durations = Array.map snd schedule;
+    phase_idx = 0;
+    phase_remaining = snd schedule.(0);
+    retired = 0;
+    length = instructions;
+    stop = (match next with Some _ -> max_int | None -> instructions);
+    segment = 0;
+    distance = 0;
+    next_store = false;
+    next_level = 0;
+    emitted_kind = 0;
+    addr = 0;
+    closed = false;
+    seed;
+    name = benchmark.Benchmark.name;
+    key = private_key hierarchy;
+  }
+
+let check_header ~segment ~benchmark ~seed ~instructions ~hierarchy source =
+  check_segment_header
+    (make ~benchmark ~seed ~instructions ~hierarchy source)
+    ~segment
+
+let reader ?next ~benchmark ~seed ~instructions ~hierarchy source =
+  let r = make ?next ~benchmark ~seed ~instructions ~hierarchy source in
+  match
+    check_segment_header r ~segment:0;
+    read_header r
+  with
+  | () -> r
+  | exception e ->
+      source.close ();
+      raise e
 
 let close r =
   if not r.closed then begin
     r.closed <- true;
-    r.close ()
+    r.source.close ()
   end
 
 let matches r ~benchmark ~hierarchy =
@@ -311,6 +350,7 @@ let matches r ~benchmark ~hierarchy =
   && String.equal r.key (private_key hierarchy)
 
 let recorded_end r = r.length
+let chained r = Option.is_some r.next
 let current_phase r = r.phases.(r.phase_idx)
 let emitted_kind r = r.emitted_kind
 let addr r = r.addr
@@ -324,23 +364,91 @@ let advance r k =
     r.phase_remaining <- r.durations.(r.phase_idx)
   end
 
+(* Moves the next fetch record to the side buffer. *)
+let set_fetch_aside r =
+  let level = byte r in
+  if level > 2 then corrupt "bad fetch level %d" level;
+  Buffer.add_char r.side (Char.unsafe_chr level);
+  let rec address () =
+    let b = byte r in
+    Buffer.add_char r.side (Char.unsafe_chr b);
+    if b >= 0x80 then address ()
+  in
+  if Int.equal level 2 then address ()
+
+(* The current segment ends before the next data access retires, and a
+   block is about to reach past its end: move on to the next segment.  The
+   bytes ahead are this segment's fetch records up to its end, then its
+   trailer.  The fetch records are set aside, [next] supplies the next
+   segment (reading the trailer only if it has to record that segment),
+   and the records are put back in front of the next segment's, so the
+   consumer takes them in order and the pending distance spans the
+   boundary: a block is never cut there. *)
+let cross r =
+  match r.next with
+  | None -> corrupt "data access past the recorded length"
+  | Some next ->
+      let boundary = (r.segment + 1) * r.length in
+      let per_fetch = Mppm_trace.Generator.instructions_per_fetch in
+      Buffer.clear r.side;
+      for _ = 1 to (boundary / per_fetch) - (r.retired / per_fetch) do
+        set_fetch_aside r
+      done;
+      let trailer_ints = ref 0 in
+      let source =
+        next ~segment:(r.segment + 1) ~trailer:(fun () ->
+            incr trailer_ints;
+            unzigzag (varint r))
+      in
+      if !trailer_ints > 0 then begin
+        let count = varint r in
+        if count <> !trailer_ints then begin
+          source.close ();
+          corrupt "trailer of %d ints read as %d" count !trailer_ints
+        end
+      end;
+      r.source.close ();
+      r.source <- source;
+      r.segment <- r.segment + 1;
+      r.pos <- 0;
+      r.lim <- 0;
+      check_segment_header r ~segment:r.segment;
+      let to_boundary = r.distance - 1 in
+      read_header r;
+      r.distance <- r.distance + to_boundary;
+      let rest = r.lim - r.pos and aside = Buffer.length r.side in
+      if aside + rest > Bytes.length r.buf then begin
+        let bigger = Bytes.create (aside + rest) in
+        Bytes.blit r.buf r.pos bigger aside rest;
+        r.buf <- bigger
+      end
+      else Bytes.blit r.buf r.pos r.buf aside rest;
+      Buffer.blit r.side 0 r.buf 0 aside;
+      r.pos <- 0;
+      r.lim <- aside + rest
+
 (* mppm: unit _ -> cap:insns -> insns *)
-let emit r ~cap =
-  if cap < 1 || cap > r.length - r.retired then
+let rec emit r ~cap =
+  if cap < 1 || cap > r.stop - r.retired then
     invalid_arg "Private_stream.emit: cap outside the recorded length";
   let limit = if cap < r.phase_remaining then cap else r.phase_remaining in
-  if r.distance <= limit then begin
+  if r.distance > limit then begin
+    advance r limit;
+    r.distance <- r.distance - limit;
+    r.emitted_kind <- 0;
+    limit
+  end
+  else if Int.equal r.next_level 3 then begin
+    (* mppm: cold — once per segment crossed *)
+    cross r;
+    emit r ~cap
+  end
+  else begin
     let n = r.distance in
     advance r n;
     r.distance <- 0;
     r.emitted_kind <- (if r.next_store then 2 else 1);
     n
-  end
-  else begin
-    advance r limit;
-    r.distance <- r.distance - limit;
-    r.emitted_kind <- 0;
-    limit
   end
 
 (* mppm: unit _ -- private level code *)
@@ -367,18 +475,3 @@ let take_access r =
   if Int.equal level 2 then r.addr <- varint r;
   read_header r;
   level
-
-let trailer_int r =
-  if r.trailer_ints < 0 then begin
-    if r.retired <> r.length || r.next_level <> 3 then
-      corrupt "replay stopped at %d of %d instructions" r.retired r.length;
-    r.trailer_ints <- 0
-  end;
-  r.trailer_ints <- r.trailer_ints + 1;
-  unzigzag (varint r)
-
-let finish_replay r =
-  let count = varint r in
-  if count <> r.trailer_ints then
-    corrupt "trailer of %d ints read as %d" count r.trailer_ints;
-  close r

@@ -196,6 +196,62 @@ let test_context_corrupt_stream () =
     (Mppm_obs.Registry.get "stream_cache.hits" -. hits);
   remove_dir dir
 
+(* The stream segments k >= 1 in [dir], "name-stream-<digest>-segK.stream". *)
+let segment_files dir =
+  let is_segment f =
+    Filename.check_suffix f ".stream"
+    &&
+    match String.rindex_opt f '-' with
+    | Some i -> String.starts_with ~prefix:"seg" (String.sub f (i + 1) (String.length f - i - 1))
+    | None -> false
+  in
+  List.sort compare (List.filter is_segment (Array.to_list (Sys.readdir dir)))
+
+(* A fast program beside a slow one: the fast core replays several
+   segments past its first trace. *)
+let crossing_mix = Mix.of_names [| "povray"; "mcf" |]
+
+(* A detailed run replays every instruction, crossing into segments that
+   are recorded on first demand.  A segment file that fails its check
+   (truncated, a flipped byte, the header of another segment) is a miss:
+   it is recorded anew, byte for byte as before, and counted under
+   stream_cache.corrupt; the measured result does not change. *)
+let test_context_corrupt_segment () =
+  let dir = fresh_dir () in
+  let live_before = Mppm_obs.Registry.get "multicore.live_instructions" in
+  let want = (Context.detailed (make_ctx dir) ~llc_config:1 crossing_mix).Context.m_detail in
+  check_close 0.0 "no instruction ran live" 0.0
+    (Mppm_obs.Registry.get "multicore.live_instructions" -. live_before);
+  let segments = segment_files dir in
+  let seg1 =
+    match List.find_opt (fun f -> Filename.check_suffix f "-seg1.stream") segments with
+    | Some f -> f
+    | None -> Alcotest.fail "no segment 1 recorded"
+  in
+  let seg2 = Filename.chop_suffix seg1 "-seg1.stream" ^ "-seg2.stream" in
+  Alcotest.(check bool) "segment 2 recorded" true (List.mem seg2 segments);
+  let first = Filename.concat dir seg1 and second = Filename.concat dir seg2 in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let good = read first in
+  let flip k s =
+    String.mapi (fun i c -> if i = k then Char.chr (Char.code c lxor 0x10) else c) s
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      Out_channel.with_open_bin first (fun oc -> output_string oc corrupt);
+      let count key = Mppm_obs.Registry.get ("stream_cache." ^ key) in
+      let corrupt_before = count "corrupt" in
+      let got = (Context.detailed (make_ctx dir) ~llc_config:1 crossing_mix).Context.m_detail in
+      check_close 0.0 (what ^ ": counted corrupt") 1.0 (count "corrupt" -. corrupt_before);
+      Alcotest.(check string) (what ^ ": file re-recorded") good (read first);
+      Alcotest.(check bool) (what ^ ": result unchanged") true (want = got))
+    [
+      ("truncated", String.sub good 0 (String.length good - 100));
+      ("flipped byte", flip (String.length good / 2) good);
+      ("another segment's header", read second);
+    ];
+  remove_dir dir
+
 (* cache stats/prune: profiles and private streams are live, stale or
    orphaned .tmp under the same name-...-digest scheme; anything else is
    foreign, and prune leaves live and foreign files alone. *)
@@ -209,6 +265,7 @@ let test_context_scan_cache () =
   let stale_profile = name ^ "-cfg1-0000000000000000.prof"
   and stale_stream = name ^ "-stream-0000000000000000.stream"
   and tmp = Filename.basename (stream_file dir) ^ ".tmp" in
+  let stream_stem = Filename.chop_suffix (Filename.basename (stream_file dir)) ".stream" in
   List.iter plant [ stale_profile; stale_stream; tmp; "notes.txt" ];
   let report = Context.scan_cache ctx in
   let sorted = List.sort compare in
@@ -230,6 +287,27 @@ let test_context_scan_cache () =
   Alcotest.(check (list string)) "prune" (sorted [ stale_profile; stale_stream; tmp ])
     (sorted (Context.prune_cache ctx));
   Alcotest.(check int) "left behind" 4 (Array.length (Sys.readdir dir));
+  (* Segments are live with their stream, stale with a stale one (or
+     under a segment number no stream has), and leave .tmp files too. *)
+  ignore (Context.detailed ctx ~llc_config:1 crossing_mix);
+  let live_segments = segment_files dir in
+  Alcotest.(check bool) "segments recorded" true (live_segments <> []);
+  let stale_segment = name ^ "-stream-0000000000000000-seg1.stream"
+  and segment_zero = stream_stem ^ "-seg0.stream"
+  and segment_tmp = List.hd live_segments ^ ".x1y2z3.tmp" in
+  List.iter plant [ stale_segment; segment_zero; segment_tmp ];
+  let report = Context.scan_cache ctx in
+  Alcotest.(check bool) "every recorded segment live" true
+    (List.for_all (fun f -> List.mem f report.Context.cr_live) live_segments);
+  Alcotest.(check (list string)) "stale segments"
+    (sorted [ stale_segment; segment_zero ])
+    report.Context.cr_stale;
+  Alcotest.(check (list string)) "segment tmp" [ segment_tmp ] report.Context.cr_tmp;
+  Alcotest.(check (list string)) "prune segments"
+    (sorted [ stale_segment; segment_zero; segment_tmp ])
+    (sorted (Context.prune_cache ctx));
+  Alcotest.(check bool) "live segments kept" true
+    (List.for_all (fun f -> Sys.file_exists (Filename.concat dir f)) live_segments);
   remove_dir dir
 
 let sdc_bits sdc = List.map Int64.bits_of_float (Mppm_cache.Sdc.to_list sdc)
@@ -502,6 +580,8 @@ let tests =
           test_context_replayed_profiles_identical;
         Alcotest.test_case "corrupt stream re-recorded" `Quick
           test_context_corrupt_stream;
+        Alcotest.test_case "corrupt segment re-recorded" `Quick
+          test_context_corrupt_segment;
         Alcotest.test_case "cache scan classifies streams" `Quick
           test_context_scan_cache;
         Alcotest.test_case "llc_sdc = profiles" `Quick test_context_llc_sdc;

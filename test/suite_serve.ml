@@ -546,6 +546,52 @@ let test_daemon_end_to_end () =
                (request_daemon daemon
                   (Wire.Predict { names = mix_a; llc_config = 1 }))))
 
+(* A frame of several MiB, written a KiB at a time, is reassembled into
+   the same request as when it arrives in one write: both get the same
+   structured reply. *)
+let test_daemon_large_frame () =
+  match built_exe "bin/mppmd.exe" with
+  | None -> () (* source checkout without a build *)
+  | Some mppmd ->
+      let cache =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "mppmd-test-cache-%d" (Unix.getpid ()))
+      in
+      let framed =
+        Wire.frame
+          (Wire.encode_request
+             (Wire.Predict
+                { names = mix_a @ [ String.make (3 lsl 20) 'x' ]; llc_config = 1 }))
+      in
+      with_daemon mppmd ~jobs:2 ~cache ~idx:3 (fun daemon ->
+          let ask write =
+            let fd = connect daemon in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                write fd;
+                read_frame fd)
+          in
+          let whole = ask (fun fd -> write_all fd framed) in
+          let pieces =
+            ask (fun fd ->
+                let n = String.length framed in
+                let rec go off =
+                  if off < n then begin
+                    let k = min 1024 (n - off) in
+                    write_all fd (String.sub framed off k);
+                    go (off + k)
+                  end
+                in
+                go 0)
+          in
+          (match Wire.decode_response whole with
+          | Result.Ok (Wire.Error { code = Wire.Unknown_benchmark; _ }) -> ()
+          | _ -> Alcotest.fail "the large request was not decoded");
+          Alcotest.(check bool) "reply to 1 KiB writes = reply to one write"
+            true (String.equal whole pieces))
+
 (* SIGTERM ends the daemon cleanly: exit status 0, the "served" line
    printed, and the unix socket removed by its finaliser. *)
 let test_daemon_sigterm () =
@@ -591,5 +637,7 @@ let tests =
           test_daemon_end_to_end;
         Alcotest.test_case "SIGTERM removes the socket" `Slow
           test_daemon_sigterm;
+        Alcotest.test_case "multi-MiB frame in small writes" `Slow
+          test_daemon_large_frame;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* Tests for private-stream replay (Mppm_simcore.Private_stream): a core
-   that replays a recorded L1/L2 stream, and then continues live from its
-   trailer, must be indistinguishable from a live core, bit for bit, under
-   any blocking, compute scale, memory channel, LLC partition and slot
-   offset.  Independent oracles check the premise (private outcomes do not
+   that replays a recorded L1/L2 stream, crossing from segment to segment
+   recorded from each other's trailers, must be indistinguishable from a
+   live core, bit for bit, under any blocking, compute scale, memory
+   channel, LLC partition and slot offset.  Independent oracles check the premise (private outcomes do not
    depend on the slot offset) and the hierarchy itself (working sets are
    served by the level their size predicts, live and replayed). *)
 
@@ -36,7 +36,7 @@ let record ?(interval = 2_000) benchmark ~seed ~trace =
   let buf = Buffer.create 65536 in
   let record =
     Private_stream.recorder ~benchmark ~seed ~instructions:trace
-      ~hierarchy:baseline ~write:(Buffer.add_subbytes buf)
+      ~hierarchy:baseline (Buffer.add_subbytes buf)
   in
   let engine =
     Core_engine.create ~record ~params:Core_model.default
@@ -47,16 +47,39 @@ let record ?(interval = 2_000) benchmark ~seed ~trace =
       interval - (Core_engine.retired engine mod interval));
   Buffer.contents buf
 
-let reader benchmark ~seed ~trace bytes =
+let string_source bytes =
   let pos = ref 0 in
+  {
+    Private_stream.refill =
+      (fun b off len ->
+        let n = min len (String.length bytes - !pos) in
+        Bytes.blit_string bytes !pos b off n;
+        pos := !pos + n;
+        n);
+    close = ignore;
+  }
+
+let reader benchmark ~seed ~trace bytes =
   Private_stream.reader ~benchmark ~seed ~instructions:trace
-    ~hierarchy:baseline
-    ~refill:(fun b off len ->
-      let n = min len (String.length bytes - !pos) in
-      Bytes.blit_string bytes !pos b off n;
-      pos := !pos + n;
-      n)
-    ~close:ignore
+    ~hierarchy:baseline (string_source bytes)
+
+(* Segment [segment] of [benchmark]'s stream, recorded from the trailer of
+   the segment before it. *)
+let record_segment benchmark ~seed ~trace ~segment ~trailer =
+  let buf = Buffer.create 65536 in
+  Core_engine.record_segment baseline ~benchmark ~seed ~trailer
+    (Private_stream.recorder ~segment ~benchmark ~seed ~instructions:trace
+       ~hierarchy:baseline (Buffer.add_subbytes buf));
+  Buffer.contents buf
+
+(* A reader that replays on through segments recorded on demand; [crossed]
+   counts the segments it moved on to. *)
+let chained ?(crossed = ref 0) benchmark ~seed ~trace bytes =
+  Private_stream.reader ~benchmark ~seed ~instructions:trace
+    ~hierarchy:baseline (string_source bytes)
+    ~next:(fun ~segment ~trailer ->
+      incr crossed;
+      string_source (record_segment benchmark ~seed ~trace ~segment ~trailer))
 
 (* ---- replayed = live ---------------------------------------------------- *)
 
@@ -138,15 +161,91 @@ let test_replay_equals_live =
       let bytes = record benchmark ~seed ~trace in
       let live = step_trace s ~trace ~total in
       let replayed =
-        step_trace ~replay:(reader benchmark ~seed ~trace bytes) s ~trace ~total
+        step_trace ~replay:(chained benchmark ~seed ~trace bytes) s ~trace ~total
       in
       live = replayed)
+
+(* A compute-only stretch longer than a segment, between memory phases:
+   some segments hold no data access at all. *)
+let bursty =
+  let phase name mem_ratio =
+    {
+      Benchmark.phase_name = name;
+      base_cpi = 1.0;
+      mem_ratio;
+      store_fraction = 0.3;
+      mlp = 1.5;
+      regions =
+        [ { Benchmark.region_name = "heap"; size_bytes = 1 lsl 20; weight = 1.0;
+            region_pattern = Benchmark.Uniform } ];
+    }
+  in
+  {
+    Benchmark.name = "bursty";
+    description = "memory bursts between long compute stretches";
+    schedule = [ (phase "burst" 0.3, 1_700); (phase "compute" 0.0, 7_919) ];
+    code_bytes = Geometry.kib 64;
+    hot_code_bytes = Geometry.kib 4;
+    cold_fetch_rate = 0.05;
+  }
+
+(* Crossing segments changes nothing: a chained reader's step sequence
+   equals the live one across every boundary, for segment lengths that are
+   and are not whole fetch lines, under cap schedules that mix the
+   simulator's post-pass cap, caps ending on a boundary and small random
+   caps. *)
+let test_chained_equals_live =
+  QCheck.Test.make ~count:60 ~name:"chained replay = live across segments"
+    QCheck.(
+      triple (int_bound Suite.count) (oneofl [ 997; 1_024; 2_500; 6_000 ])
+        (int_bound 1_000_000))
+    (fun (bench, trace, cap_seed) ->
+      let benchmark = if bench = Suite.count then bursty else Suite.all.(bench) in
+      let seed = 1 + bench in
+      let total = 12 * trace in
+      let run replay =
+        let hierarchy = Hierarchy.create baseline in
+        let engine =
+          Core_engine.create ?replay ~params:Core_model.default ~hierarchy
+            ~generator:(Generator.create ~seed benchmark) ()
+        in
+        let rng = Rng.create ~seed:cap_seed in
+        let steps = ref [] in
+        while Core_engine.retired engine < total do
+          let retired = Core_engine.retired engine in
+          let cap =
+            match Rng.int rng 4 with
+            | 0 -> Multi_core.post_pass_cap
+            | 1 -> trace - (retired mod trace)
+            | 2 -> 1 + Rng.int rng 40
+            | _ -> 1 + Rng.int rng (3 * trace)
+          in
+          (* The first segment is cut at its end, as a first pass is. *)
+          let cap = if retired < trace then min cap (trace - retired) else cap in
+          let n = Core_engine.step engine ~cap:(min cap (total - retired)) in
+          steps :=
+            ( n,
+              Int64.bits_of_float (Core_engine.cycles engine),
+              Core_engine.llc_accesses engine,
+              Core_engine.llc_misses engine )
+            :: !steps
+        done;
+        (!steps, Hierarchy.counters hierarchy)
+      in
+      let crossed = ref 0 in
+      let replayed =
+        run
+          (Some
+             (chained ~crossed benchmark ~seed ~trace
+                (record benchmark ~seed ~trace)))
+      in
+      run None = replayed && !crossed >= 10)
 
 (* ---- the seam ------------------------------------------------------------ *)
 
 (* A compute-bound core finishes its first pass long before a memory-bound
-   one and then runs live from the trailer, several recorded lengths past
-   the stream: the mix equals the all-live simulation. *)
+   one and then replays on, several segments past the first: the mix
+   equals the all-live simulation, and no instruction ran live. *)
 let test_seam_mix_equals_live () =
   let trace = 30_000 in
   let names = [| "povray"; "mcf"; "lbm" |] in
@@ -160,22 +259,32 @@ let test_seam_mix_equals_live () =
   in
   let cfg = Multi_core.config baseline in
   let live = Multi_core.run cfg ~programs ~trace_instructions:trace in
-  let before = Registry.get "multicore.replayed_instructions" in
+  let counter name = Registry.get ("multicore." ^ name) in
+  let replayed_before = counter "replayed_instructions"
+  and live_before = counter "live_instructions" in
+  let crossed = Array.map (fun _ -> ref 0) programs in
   let replays =
-    Array.map
-      (fun (p : Multi_core.program_spec) ->
+    Array.mapi
+      (fun i (p : Multi_core.program_spec) ->
         Some
-          (reader p.benchmark ~seed:p.seed ~trace
+          (chained ~crossed:crossed.(i) p.benchmark ~seed:p.seed ~trace
              (record p.benchmark ~seed:p.seed ~trace)))
       programs
   in
   let replayed = Multi_core.run ~replays cfg ~programs ~trace_instructions:trace in
-  Alcotest.(check bool) "the fast core ran well past the stream" true
+  Alcotest.(check bool) "the fast core ran well past the first segment" true
     (live.Multi_core.programs.(0).Multi_core.total_retired > 3 * trace);
+  Alcotest.(check bool) "the fast core crossed at least 3 segments" true
+    (!(crossed.(0)) >= 3);
   Alcotest.(check bool) "replayed mix = live mix" true (live = replayed);
   Alcotest.(check (float 0.0)) "replayed instructions counted"
-    (float_of_int (3 * trace))
-    (Registry.get "multicore.replayed_instructions" -. before)
+    (float_of_int
+       (Array.fold_left
+          (fun acc p -> acc + p.Multi_core.total_retired)
+          0 replayed.Multi_core.programs))
+    (counter "replayed_instructions" -. replayed_before);
+  Alcotest.(check (float 0.0)) "no instruction ran live" 0.0
+    (counter "live_instructions" -. live_before)
 
 (* The slot offset reaches the shared LLC even though the private caches
    never see it: two copies of a program at the same offset share their
@@ -386,6 +495,7 @@ let tests =
     ( "stream.replay",
       [
         QCheck_alcotest.to_alcotest test_replay_equals_live;
+        QCheck_alcotest.to_alcotest test_chained_equals_live;
         Alcotest.test_case "seam: mix = all-live mix" `Quick test_seam_mix_equals_live;
         Alcotest.test_case "slot offset reaches the LLC" `Quick test_offset_reaches_llc;
         Alcotest.test_case "private levels offset-invariant" `Quick
