@@ -15,6 +15,7 @@ type t = {
   interval_instructions : int;
   llc_assoc : int;
   intervals : interval array;
+  interval_starts : int array;
 }
 
 let make ~benchmark ~interval_instructions ~llc_assoc intervals =
@@ -28,10 +29,15 @@ let make ~benchmark ~interval_instructions ~llc_assoc intervals =
       if Sdc.assoc iv.sdc <> llc_assoc then
         invalid_arg "Profile.make: SDC associativity mismatch")
     intervals;
-  { benchmark; interval_instructions; llc_assoc; intervals }
+  let n = Array.length intervals in
+  let interval_starts = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    interval_starts.(k + 1) <- interval_starts.(k) + intervals.(k).instructions
+  done;
+  { benchmark; interval_instructions; llc_assoc; intervals; interval_starts }
 
 let total_instructions t =
-  Array.fold_left (fun acc iv -> acc + iv.instructions) 0 t.intervals
+  t.interval_starts.(Array.length t.intervals) - t.interval_starts.(0)
 
 let total_cycles t =
   Array.fold_left (fun acc iv -> acc +. iv.cycles) 0.0 t.intervals
@@ -79,18 +85,19 @@ let walk t ~start ~count i ~sums dst ~full =
   let start = start.(i) and count = count.(i) in
   if count <= 0.0 then invalid_arg "Profile.window: non-positive count";
   if start < 0.0 then invalid_arg "Profile.window: negative start";
-  let intervals = t.intervals in
+  let intervals = t.intervals and starts = t.interval_starts in
   let n = Array.length intervals in
   let pos = Float.rem start (float_of_int (total_instructions t)) in
-  (* The interval containing [pos], found with an exact running offset. *)
-  let idx = ref 0 and off = ref 0 in
-  while
-    !idx < n - 1
-    && not (pos < float_of_int (!off + intervals.(!idx).instructions))
-  do
-    off := !off + intervals.(!idx).instructions;
-    incr idx
+  (* The interval containing [pos]: the first [idx < n - 1] whose exact
+     int end offset lies above [pos], else the last.  [float_of_int] is
+     monotone, so the binary search finds the index a scan from interval 0
+     would. *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if pos < float_of_int starts.(mid + 1) then hi := mid else lo := mid + 1
   done;
+  let idx = ref !lo in
   for c = sum_instructions to sum_llc_misses do
     sums.(c) <- 0.0
   done;
@@ -98,7 +105,7 @@ let walk t ~start ~count i ~sums dst ~full =
     for j = 0 to Array.length dst - 1 do
       dst.(j) <- 0.0
     done;
-  sums.(offset_cell) <- pos -. float_of_int !off;
+  sums.(offset_cell) <- pos -. float_of_int starts.(!idx);
   sums.(remaining_cell) <- count;
   while sums.(remaining_cell) > 1e-9 do
     let iv = intervals.(!idx) in
@@ -161,7 +168,8 @@ let reduce_associativity t ~assoc =
         { iv with sdc; llc_misses = Sdc.misses sdc })
       t.intervals
   in
-  { t with llc_assoc = assoc; intervals }
+  make ~benchmark:t.benchmark ~interval_instructions:t.interval_instructions
+    ~llc_assoc:assoc intervals
 
 (* ---- text serialization ------------------------------------------- *)
 
@@ -250,15 +258,23 @@ let load path =
           when List.length counters = llc_assoc + 1 ->
             let instructions = int insns in
             if instructions <= 0 then fail "non-positive instruction count %d" instructions;
-            let counters = List.map float counters in
-            if List.exists (fun c -> not (c >= 0.0)) counters then
-              fail "negative or NaN SDC counter";
+            let count what s =
+              let v = float s in
+              if not (v >= 0.0 && Float.is_finite v) then
+                fail "negative or non-finite %s %S" what s;
+              v
+            in
+            let cycles = count "cycle count" cycles in
+            let memory_stall_cycles = count "stall cycle count" stall in
+            let llc_accesses = count "LLC access count" acc in
+            let llc_misses = count "LLC miss count" miss in
+            let counters = List.map (count "SDC counter") counters in
             {
               instructions;
-              cycles = float cycles;
-              memory_stall_cycles = float stall;
-              llc_accesses = float acc;
-              llc_misses = float miss;
+              cycles;
+              memory_stall_cycles;
+              llc_accesses;
+              llc_misses;
               sdc = Sdc.of_list ~assoc:llc_assoc counters;
             }
         | _ -> fail "malformed interval"

@@ -19,11 +19,18 @@ type interval = {
   sdc : Mppm_cache.Sdc.t;  (** LLC stack-distance counters *)
 }
 
-type t = {
+(** Built only by {!make} (and {!load}, {!reduce_associativity}), so
+    [interval_starts] always matches [intervals]; derive a changed profile
+    by passing new intervals to {!make}. *)
+type t = private {
   benchmark : string;
   interval_instructions : int;  (** nominal interval length *)  (* mppm: unit insns *)
   llc_assoc : int;  (** associativity the SDCs were collected at *)
   intervals : interval array;
+  interval_starts : int array;  (* mppm: unit cumulative insns *)
+      (** [n + 1] entries: [interval_starts.(k)] is the number of
+          instructions before interval [k], so [interval_starts.(0) = 0]
+          and [interval_starts.(n)] is the trace length *)
 }
 
 val make :  (* mppm: unit profile *)
@@ -33,10 +40,12 @@ val make :  (* mppm: unit profile *)
   interval array ->
   t
 (** Validates interval shapes (positive instruction counts, SDC
-    associativity agreement) and builds the profile. *)
+    associativity agreement) and builds the profile with its
+    [interval_starts]. *)
 
 val total_instructions : t -> int  (* mppm: unit insns *)
-(** Sum of interval instruction counts (the trace length). *)
+(** Sum of interval instruction counts (the trace length), read from
+    [interval_starts] in O(1). *)
 
 val total_cycles : t -> float  (* mppm: unit cycles *)
 (** Sum of interval cycle counts (the isolated run's duration). *)
@@ -145,7 +154,8 @@ val save : t -> string -> unit  (* mppm: unit _ *)
 val load : string -> t  (* mppm: unit profile *)
 (** [load path] reads a profile written by {!save}.  Every malformed
     input — a truncated file, an unsupported format version, a field that
-    is not a number, a negative SDC counter, a shape {!make} rejects —
+    is not a number, a negative, NaN or infinite cycle, access, miss or SDC
+    count, a shape {!make} rejects —
     raises [Failure "Profile.load: <path>:<line>: <what>"]. *)
 
 val pp_summary : Format.formatter -> t -> unit  (* mppm: unit _ *)

@@ -72,7 +72,8 @@ let test_context_disk_cache_roundtrip () =
 
 (* A cache entry Profile.load rejects is a miss: the profile is recomputed,
    the file rewritten with the original bytes, and profile_cache.corrupt
-   counted. *)
+   counted.  That covers NaN, infinite and negative timing and miss
+   fields, which would otherwise load and turn predictions into NaN. *)
 let test_context_corrupt_cache_entry () =
   let dir = fresh_dir () in
   ignore (Context.profile (make_ctx dir) ~llc_config:1 3);
@@ -97,6 +98,11 @@ let test_context_corrupt_cache_entry () =
     | _ :: rest -> String.concat " " (List.rev ("-1" :: rest))
     | [] -> l
   in
+  let set_field k v l =
+    String.split_on_char ' ' l
+    |> List.mapi (fun i f -> if Int.equal i k then v else f)
+    |> String.concat " "
+  in
   List.iter
     (fun (what, corrupt) ->
       Out_channel.with_open_bin path (fun oc -> output_string oc (corrupt good));
@@ -110,6 +116,10 @@ let test_context_corrupt_cache_entry () =
       ("truncated", fun s -> String.sub s 0 (String.length s / 2));
       ("non-numeric", edit_line 2 (fun _ -> "interval ten"));
       ("negative counter", edit_line 5 negate_last_field);
+      ("NaN cycles", edit_line 5 (set_field 1 "nan"));
+      ("infinite stall cycles", edit_line 6 (set_field 2 "inf"));
+      ("negative accesses", edit_line 7 (set_field 3 "-5"));
+      ("NaN misses", edit_line 8 (set_field 4 "nan"));
     ];
   remove_dir dir
 

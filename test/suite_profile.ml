@@ -183,8 +183,9 @@ let test_load_rejects_garbage () =
       Alcotest.(check bool) "bad header fails" true
         (try ignore (Profile.load path); false with Failure _ -> true))
 
-(* A truncated file, a non-numeric field and a negative counter each fail
-   with a located [Profile.load: <path>:<line>:] message. *)
+(* A truncated file, a non-numeric field, a negative counter and a NaN,
+   infinite or negative cycle, access or miss count each fail with a
+   located [Profile.load: <path>:<line>:] message. *)
 let test_load_corrupt_is_located () =
   let path = Filename.temp_file "mppm-test" ".prof" in
   Fun.protect
@@ -221,6 +222,12 @@ let test_load_corrupt_is_located () =
           ("non-numeric cycles", edit 6 (fun l -> replace_field l 1 "1.5x"), 7);
           ("non-numeric interval", edit 2 (fun _ -> "interval ten"), 3);
           ("negative counter", edit last (fun l -> replace_field l 6 "-2"), last + 1);
+          ("infinite counter", edit last (fun l -> replace_field l 5 "inf"), last + 1);
+          ("NaN cycles", edit 6 (fun l -> replace_field l 1 "nan"), 7);
+          ("infinite stall cycles", edit 5 (fun l -> replace_field l 2 "inf"), 6);
+          ("negative accesses", edit 7 (fun l -> replace_field l 3 "-1"), 8);
+          ("-infinite misses", edit last (fun l -> replace_field l 4 "-inf"), last + 1);
+          ("NaN misses", edit 5 (fun l -> replace_field l 4 "nan"), 6);
         ])
 
 let qcheck_tests =

@@ -83,10 +83,11 @@ let reference_window (t : Profile.t) ~start ~count =
 (* ---- Generated profiles and windows --------------------------------------- *)
 
 (* Non-uniform interval lengths with a short last interval, fractional
-   timing and fractional SDC counters. *)
+   timing and fractional SDC counters; up to 64 intervals, so the start
+   interval's binary search halves its range several times. *)
 let random_profile rng =
   let assoc = Rng.int_in rng ~lo:1 ~hi:16 in
-  let n = Rng.int_in rng ~lo:1 ~hi:12 in
+  let n = Rng.int_in rng ~lo:1 ~hi:64 in
   let nominal = Rng.int_in rng ~lo:1 ~hi:5_000 in
   let interval i =
     let instructions =
@@ -107,19 +108,20 @@ let random_profile rng =
   Profile.make ~benchmark:"generated" ~interval_instructions:nominal
     ~llc_assoc:assoc (Array.init n interval)
 
+(* The n + 1 interval boundaries of one trace, from 0 to its length,
+   summed here rather than read from the profile's interval starts. *)
+let boundaries (p : Profile.t) =
+  let intervals = p.Profile.intervals in
+  let b = Array.make (Array.length intervals + 1) 0 in
+  Array.iteri (fun k iv -> b.(k + 1) <- b.(k) + iv.Profile.instructions) intervals;
+  Array.map float_of_int b
+
 (* Starts at random positions, on exact interval boundaries, at multiples
    of the trace length and beyond five traces; counts from 1e-9 up to 20
    traces. *)
 let random_window rng (p : Profile.t) =
   let trace = float_of_int (Profile.total_instructions p) in
-  let boundary () =
-    let k = Rng.int rng (Array.length p.Profile.intervals) in
-    let off = ref 0 in
-    for i = 0 to k - 1 do
-      off := !off + p.Profile.intervals.(i).Profile.instructions
-    done;
-    float_of_int !off
-  in
+  let boundary () = (boundaries p).(Rng.int rng (Array.length p.Profile.intervals)) in
   let start =
     match Rng.int rng 4 with
     | 0 -> Rng.float rng (7.0 *. trace)
@@ -141,10 +143,7 @@ let same_bits a b = Int64.equal (bits a) (bits b)
 let same_counters a b =
   List.for_all2 same_bits (Sdc.to_list a) (Sdc.to_list b)
 
-let fill_matches_reference seed =
-  let rng = Rng.create ~seed in
-  let p = random_profile rng in
-  let start, count = random_window rng p in
+let fill_matches p ~start ~count =
   let r = reference_window p ~start ~count in
   let sums = Array.make Profile.sums_length nan in
   let sdc = Sdc.create ~assoc:p.Profile.llc_assoc in
@@ -175,6 +174,55 @@ let fill_matches_reference seed =
     && same_bits r.r_cycles (sum Profile.sum_cycles)
   in
   full && wrapper && cpi_only
+
+let fill_matches_reference seed =
+  let rng = Rng.create ~seed in
+  let p = random_profile rng in
+  let start, count = random_window rng p in
+  fill_matches p ~start ~count
+
+(* Every interval boundary of the trace and of its next three laps, and
+   the floats one ulp either side of it: the starts where the search for
+   the start interval could land one interval off. *)
+let boundary_starts_match seed =
+  let rng = Rng.create ~seed in
+  let p = random_profile rng in
+  let trace = float_of_int (Profile.total_instructions p) in
+  let counts =
+    [ 1e-9; 1.0; float_of_int p.Profile.intervals.(0).Profile.instructions;
+      trace; Rng.float rng (3.0 *. trace) +. 1e-9 ]
+  in
+  Array.for_all
+    (fun b ->
+      List.for_all
+        (fun lap ->
+          let at = b +. (trace *. float_of_int lap) in
+          List.for_all
+            (fun start ->
+              start < 0.0
+              || List.for_all (fun count -> fill_matches p ~start ~count) counts)
+            [ Float.pred at; at; Float.succ at ])
+        [ 0; 1; 2; 3 ])
+    (boundaries p)
+
+let interval_fold p =
+  Array.fold_left (fun acc iv -> acc + iv.Profile.instructions) 0 p.Profile.intervals
+
+(* total_instructions is read from the cached interval starts; it must
+   equal the fold over the intervals, for a made and a loaded profile. *)
+let total_is_fold seed =
+  let p = random_profile (Rng.create ~seed) in
+  let path = Filename.temp_file "mppm-window" ".prof" in
+  let q =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Profile.save p path;
+        Profile.load path)
+  in
+  Int.equal (Profile.total_instructions p) (interval_fold p)
+  && Int.equal (Profile.total_instructions q) (interval_fold q)
+  && Int.equal (interval_fold p) (interval_fold q)
 
 (* ---- SDC queries against their fold definitions ---------------------------- *)
 
@@ -413,6 +461,10 @@ let qcheck_tests =
   [
     Test.make ~name:"fill_window = reference walk, bit for bit" ~count:500
       (int_bound 1_000_000) fill_matches_reference;
+    Test.make ~name:"starts at interval boundaries = reference walk" ~count:40
+      (int_bound 1_000_000) boundary_starts_match;
+    Test.make ~name:"total_instructions = interval fold" ~count:100
+      (int_bound 1_000_000) total_is_fold;
     Test.make ~name:"Sdc queries = their folds, bit for bit" ~count:500
       (int_bound 1_000_000) sdc_matches_folds;
     Test.make ~name:"predict_into = predict = reference models" ~count:300
