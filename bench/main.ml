@@ -28,7 +28,6 @@ module Stats = Mppm_util.Stats
 module Mix = Mppm_workload.Mix
 module Sampler = Mppm_workload.Sampler
 module Pool = Mppm_pool.Pool
-module Single_flight = Mppm_pool.Single_flight
 open Mppm_experiments
 
 let section title =
@@ -300,7 +299,7 @@ let run_fig9 (four_core : Accuracy.run) =
 
 let run_speed ctx =
   section "Sec. 4.3: speed";
-  Speed.pp std (Speed.measure ctx ~clock:Unix.gettimeofday ())
+  Speed.pp std (Speed.measure ctx ~clock:Unix.gettimeofday)
 
 (* Ablations over the design choices DESIGN.md calls out. *)
 let run_ablation ctx ~pool ~mixes =
@@ -454,67 +453,30 @@ let run_derivation ctx ~pool ~mixes =
 
 (* Extension: bandwidth sharing (paper Sec. 8 future work).  The detailed
    simulator serializes all LLC misses over one memory channel; MPPM adds
-   an M/D/1 queueing term on top of FOA.  Profiles are re-collected with a
-   private channel so isolated CPIs carry their own self-queueing. *)
-let run_bandwidth ctx ~pool ~mixes =
+   an M/D/1 queueing term on top of FOA.  The channel's machine is a
+   context of its own: its profiles are collected with a private channel,
+   so isolated CPIs carry their own self-queueing, and are cached beside
+   the paper machine's under their own names; both replay the same
+   private streams. *)
+let run_bandwidth ~seed ~cache_dir scale ~pool ~mixes =
   section "Extension: memory bandwidth sharing";
   let transfer_cycles = 16.0 in
-  let cores = 4 in
-  let scale = Context.scale ctx in
-  let hierarchy = Context.hierarchy ctx ~llc_config:1 in
+  let ctx = Context.create ~bandwidth:transfer_cycles ~seed ~cache_dir scale in
   let rng = Context.rng ctx "bandwidth" in
-  let sample = Sampler.random_mixes rng ~cores ~count:(max 6 (mixes / 6)) in
-  (* Bandwidth profiles are re-collected with a private channel, outside
-     the context's cache; a single-flight table keeps concurrent workers
-     from computing one benchmark's profile twice. *)
-  let profile_table : (string, Profile.t) Single_flight.t =
-    Single_flight.create ()
+  let sample = Sampler.random_mixes rng ~cores:4 ~count:(max 6 (mixes / 6)) in
+  let measured =
+    Pool.map pool
+      (fun mix ->
+        let m = Context.detailed ctx ~llc_config:1 mix in
+        (m.Context.m_stp, m.Context.m_antt))
+      sample
   in
-  let bw_profile name =
-    Single_flight.get profile_table name (fun name ->
-        Mppm_simcore.Single_core.profile
-          (Mppm_simcore.Single_core.config ~bandwidth:transfer_cycles
-             hierarchy)
-          ~benchmark:(Mppm_trace.Suite.find name)
-          ~seed:(Mppm_trace.Suite.seed_for name)
-          ~trace_instructions:scale.Scale.trace_instructions
-          ~interval_instructions:scale.Scale.interval_instructions)
-  in
-  let offsets = Mppm_multicore.Multi_core.default_offsets ~seed:(Context.seed ctx) 16 in
-  let detailed mix =
-    let names = Mix.names mix in
-    let specs =
-      Array.mapi
-        (fun i name ->
-          {
-            Mppm_multicore.Multi_core.benchmark = Mppm_trace.Suite.find name;
-            seed = Mppm_trace.Suite.seed_for name;
-            offset = offsets.(i);
-          })
-        names
-    in
-    let detail =
-      Mppm_multicore.Multi_core.run
-        (Mppm_multicore.Multi_core.config ~bandwidth:transfer_cycles hierarchy)
-        ~programs:specs ~trace_instructions:scale.Scale.trace_instructions
-    in
-    let cpi_single = Array.map (fun n -> Profile.cpi (bw_profile n)) names in
-    let cpi_multi =
-      Array.map
-        (fun p -> p.Mppm_multicore.Multi_core.multicore_cpi)
-        detail.Mppm_multicore.Multi_core.programs
-    in
-    ( Metrics.stp ~cpi_single ~cpi_multi,
-      Metrics.antt ~cpi_single ~cpi_multi )
-  in
-  let measured = Pool.map pool detailed sample in
   let base = Context.model_params ctx in
   let eval params label =
     let predicted =
       Array.map
         (fun mix ->
-          let profiles = Array.map bw_profile (Mix.names mix) in
-          let r = Model.predict_profiles params profiles in
+          let r = Context.predict_with ctx ~params ~llc_config:1 mix in
           (r.Model.stp, r.Model.antt))
         sample
     in
@@ -693,7 +655,8 @@ let run trace mixes seed cache_dir only paper_scale csv jobs trace_phases =
   if wants "partition" then
     timed "partition" (fun () -> run_partition ctx ~pool ~mixes);
   if wants "bandwidth" then
-    timed "bandwidth" (fun () -> run_bandwidth ctx ~pool ~mixes);
+    timed "bandwidth" (fun () ->
+        run_bandwidth ~seed ~cache_dir scale ~pool ~mixes);
   if wants "cophase" then timed "cophase" (fun () -> run_cophase ctx ~mixes);
   if wants "simpoint" then timed "simpoint" (fun () -> run_simpoint ctx ~mixes);
   if Option.is_some (Prof.pool_stats prof) then

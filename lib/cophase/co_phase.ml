@@ -1,18 +1,15 @@
 module Benchmark = Mppm_trace.Benchmark
-module Core_model = Mppm_simcore.Core_model
 module Multi_core = Mppm_multicore.Multi_core
 
 type config = {
   hierarchy : Mppm_cache.Hierarchy.config;
-  core : Core_model.params;
   window_instructions : int;
 }
 
-let config ?(core = Core_model.default) ?(window_instructions = 100_000)
-    hierarchy =
+let config ?(window_instructions = 100_000) hierarchy =
   if window_instructions <= 0 then
     invalid_arg "Co_phase.config: window_instructions <= 0";
-  { hierarchy; core; window_instructions }
+  { hierarchy; window_instructions }
 
 type program_spec = {
   benchmark : Mppm_trace.Benchmark.t;
@@ -90,7 +87,7 @@ let measure t key =
   let run trace_instructions =
     let detail =
       Multi_core.run
-        (Multi_core.config ~core:t.cfg.core t.cfg.hierarchy)
+        (Multi_core.config t.cfg.hierarchy)
         ~programs:specs ~trace_instructions
     in
     t.detailed_instructions <-

@@ -14,7 +14,6 @@
 
 type config = {
   hierarchy : Mppm_cache.Hierarchy.config;
-  core : Mppm_simcore.Core_model.params;
   window_instructions : int;  (* mppm: unit insns *)
       (** instructions (per program) of the detailed window used to measure
           one co-phase's rates; measurement runs 2x this and keeps the warm
@@ -22,7 +21,6 @@ type config = {
 }
 
 val config :  (* mppm: unit config *)
-  ?core:Mppm_simcore.Core_model.params ->
   ?window_instructions:int ->
   Mppm_cache.Hierarchy.config ->
   config

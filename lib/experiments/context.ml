@@ -19,7 +19,7 @@ module Single_flight = Mppm_pool.Single_flight
 
 type t = {
   scale : Scale.t;
-  core : Core_model.params;
+  bandwidth : float option;  (* mppm: unit cycles *)
   seed : int;
   cache_dir : string;
   profiles : (int * int, Profile.t) Single_flight.t;  (* (llc_config, bench) *)
@@ -33,14 +33,14 @@ type t = {
 
 let max_cores = 16
 
-let create ?(core = Core_model.default) ?(seed = 42) ~cache_dir scale =
+let create ?bandwidth ?(seed = 42) ~cache_dir scale =
   (* Another process may create the directory between the check and the
      mkdir. *)
   (try Sys.mkdir cache_dir 0o755
    with Sys_error _ when Sys.file_exists cache_dir -> ());
   {
     scale;
-    core;
+    bandwidth;
     seed;
     cache_dir;
     profiles = Single_flight.create ~metric:"profile_cache" ();
@@ -66,17 +66,24 @@ let hierarchy _t ~llc_config = Configs.baseline ~llc:llc_config ()
 let cache_path t ~llc_config bench_index =
   (* The digest covers everything the profile depends on — including the
      serialization format version, so entries written by an older
-     (lossier) writer read as stale, never as the requested profile. *)
+     (lossier) writer read as stale, never as the requested profile.  The
+     channel joins it only when there is one, so the paper's machine keeps
+     its names. *)
   let benchmark = Suite.all.(bench_index) in
+  let machine =
+    Fingerprint.of_value
+      ( benchmark,
+        Core_model.default,
+        hierarchy t ~llc_config,
+        t.scale,
+        Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
+        Profile.format_version )
+  in
   let digest =
     Fingerprint.to_hex
-      (Fingerprint.of_value
-         ( benchmark,
-           t.core,
-           hierarchy t ~llc_config,
-           t.scale,
-           Suite.seed_for benchmark.Mppm_trace.Benchmark.name,
-           Profile.format_version ))
+      (match t.bandwidth with
+      | None -> machine
+      | Some cycles -> Fingerprint.add_string machine (Printf.sprintf "%h" cycles))
   in
   Filename.concat t.cache_dir
     (Printf.sprintf "%s-cfg%d-%s.prof" Suite.names.(bench_index) llc_config
@@ -85,7 +92,7 @@ let cache_path t ~llc_config bench_index =
 let compute_profile ?replay ?record t hierarchy bench_index =
   let benchmark = Suite.all.(bench_index) in
   Single_core.profile ?replay ?record
-    (Single_core.config ~core:t.core hierarchy)
+    (Single_core.config ?bandwidth:t.bandwidth hierarchy)
     ~benchmark
     ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
     ~trace_instructions:t.scale.Scale.trace_instructions
@@ -94,8 +101,8 @@ let compute_profile ?replay ?record t hierarchy bench_index =
 (* ---- private streams -------------------------------------------------- *)
 
 (* The stream depends on the benchmark, its seed, the trace length and the
-   private levels, which all Table 2 configs share; not on the LLC or the
-   core model. *)
+   private levels, which all Table 2 configs share; not on the LLC, the
+   core model or the memory channel, which change only timing. *)
 let stream_path t bench_index =
   let benchmark = Suite.all.(bench_index) in
   let h = hierarchy t ~llc_config:1 in
@@ -323,7 +330,7 @@ let build_profile t ~llc_config bench_index =
 (* Cache-directory entries for benchmark [bench_index] at [llc_config] whose
    fingerprint digest no longer matches: the human-readable
    "name-cfgN-" prefix is recognized but the digest differs, i.e. some
-   profile input (core params, hierarchy, scale, seed, spec) changed. *)
+   profile input (the machine, scale, seed, spec) changed. *)
 let stale_siblings t ~llc_config bench_index =
   let live_base = Filename.basename (cache_path t ~llc_config bench_index) in
   let prefix = Printf.sprintf "%s-cfg%d-" Suite.names.(bench_index) llc_config in
@@ -502,7 +509,8 @@ let detailed ?llc_partition t ~llc_config mix =
      raise e);
   let detail =
     Multi_core.run ~replays
-      (Multi_core.config ~core:t.core ?llc_partition (hierarchy t ~llc_config))
+      (Multi_core.config ?llc_partition ?bandwidth:t.bandwidth
+         (hierarchy t ~llc_config))
       ~programs:specs
       ~trace_instructions:t.scale.Scale.trace_instructions
   in

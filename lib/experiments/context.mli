@@ -4,11 +4,12 @@
     predicted metric pairs every figure is built from. *)
 
 type t
-(** An experiment context: scale, seed, core-model parameters and the profile
-    cache. *)
+(** An experiment context: one simulated machine (the Table 1 core and
+    hierarchy, and optionally a shared memory channel), scale, seed and the
+    profile cache. *)
 
 val create :
-  ?core:Mppm_simcore.Core_model.params ->
+  ?bandwidth:float ->
   ?seed:int ->
   cache_dir:string ->
   Scale.t ->
@@ -16,7 +17,18 @@ val create :
 (** [create ~cache_dir scale] builds a context.  [cache_dir], created if
     absent, persists single-core profiles and private streams across runs
     (they are the "one-time cost" of Fig. 1).  [seed] (default 42) drives
-    all sampling. *)
+    all sampling.  [bandwidth] (cycles of occupancy per line transfer)
+    puts one memory channel on the machine (the paper's Sec. 8 future
+    work): each profile build gets a private channel, so isolated CPIs
+    carry their own self-queueing, and every {!detailed} run shares one
+    among its cores.  Without it bandwidth is unlimited, the paper's
+    machine.
+
+    The context's machine is part of every profile's fingerprint (see
+    {!cache_path}), so contexts of different machines can share a cache
+    directory without reading each other's profiles.  Private streams do
+    not depend on the channel, which changes only timing: both machines
+    replay one stream per benchmark. *)
 
 val scale : t -> Scale.t
 (** The scale this context was created with. *)
@@ -36,9 +48,11 @@ val cache_path : t -> llc_config:int -> int -> string
 (** [cache_path t ~llc_config i] is the on-disk location of suite benchmark
     [i]'s profile in the cache directory.  The filename
     carries an explicit {!Mppm_util.Fingerprint} digest of everything the
-    profile depends on (benchmark spec, core parameters, hierarchy, scale,
-    profiling seed), so changing any of them changes the path and a stale
-    cache entry is never mistaken for the requested profile. *)
+    profile depends on (benchmark spec, the machine's core parameters,
+    hierarchy and channel, scale, profiling seed), so changing any of them
+    changes the path and a stale cache entry is never mistaken for the
+    requested profile.  The channel enters the digest only when the
+    context has one, so the paper's machine keeps its names. *)
 
 val profile : t -> llc_config:int -> int -> Mppm_profile.Profile.t
 (** [profile t ~llc_config i] is the single-core profile of suite benchmark
@@ -85,7 +99,12 @@ type cache_report = {
 
 val scan_cache : t -> cache_report
 (** [scan_cache t] classifies every file of the cache directory.
-    Basenames are sorted within each class. *)
+    Basenames are sorted within each class.  Entries are judged against
+    [t]'s own machine: another machine's profiles in the same directory
+    (say, those of a context with a different [bandwidth]) count as
+    stale, and a later run on that machine rebuilds them by replay.  The
+    same holds for {!prune_cache}, and so for [mppm cache stats] and
+    [mppm cache prune], whose context is the paper's machine. *)
 
 val prune_cache : t -> string list
 (** [prune_cache t] deletes the {!cache_report.cr_stale} entries and the
@@ -118,9 +137,10 @@ val detailed :
   llc_config:int ->
   Mppm_workload.Mix.t ->
   measured
-(** Runs the detailed multi-core simulator on the mix (program seeds match
-    the profiling runs; per-slot address offsets are deterministic in the
-    context seed).  [llc_partition] way-partitions the shared LLC per core
+(** Runs the detailed multi-core simulator on the mix, on the context's
+    machine (program seeds match the profiling runs; per-slot address
+    offsets are deterministic in the context seed; with a [bandwidth], the
+    cores share one memory channel).  [llc_partition] way-partitions the shared LLC per core
     slot.  Every slot replays its benchmark's private stream (see
     {!profile}) for the first pass and for every instruction past it: a
     slot that outruns a segment crosses into the next, which is read from

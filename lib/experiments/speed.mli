@@ -19,14 +19,12 @@ type t = {
           profiling cost — the paper's 62x number for 8 cores *)
 }
 
-val measure :
-  Context.t -> clock:(unit -> float) -> ?cores_list:int list ->
-  ?sim_mixes:int -> ?model_mixes:int -> unit -> t
-(** [measure ctx ~clock ()] times a fresh profiling run, [sim_mixes]
-    (default 3) detailed simulations per core count (default [2; 4; 8])
-    and [model_mixes] (default 50) MPPM predictions.  [clock] returns
-    seconds; the caller injects it (e.g. [Unix.gettimeofday] for the wall
-    seconds reported here) so lib/ never reads a clock itself. *)
+val measure : Context.t -> clock:(unit -> float) -> t
+(** [measure ctx ~clock] times a fresh profiling run, 3 detailed
+    simulations per core count (2, 4 and 8) and 50 MPPM predictions.
+    [clock] returns seconds; the caller injects it (e.g.
+    [Unix.gettimeofday] for the wall seconds reported here) so lib/ never
+    reads a clock itself. *)
 
 val pp : Format.formatter -> t -> unit
 (** The Sec. 4.3 timing table: costs, then speedups per core count. *)

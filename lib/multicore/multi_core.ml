@@ -7,13 +7,12 @@ module Private_stream = Mppm_simcore.Private_stream
 
 type config = {
   hierarchy : Hierarchy.config;
-  core : Core_model.params;
   llc_partition : int array option;
   bandwidth : float option;
 }
 
-let config ?(core = Core_model.default) ?llc_partition ?bandwidth hierarchy =
-  { hierarchy; core; llc_partition; bandwidth }
+let config ?llc_partition ?bandwidth hierarchy =
+  { hierarchy; llc_partition; bandwidth }
 
 type program_spec = {
   benchmark : Mppm_trace.Benchmark.t;
@@ -110,8 +109,8 @@ let run ?compute_scales ?replays cfg ~programs ~trace_instructions =
         {
           engine =
             Core_engine.create ?memory_channel ?compute_scale
-              ~llc_offset:spec.offset ?replay:(replay slot) ~params:cfg.core
-              ~hierarchy ~generator ();
+              ~llc_offset:spec.offset ?replay:(replay slot)
+              ~params:Core_model.default ~hierarchy ~generator ();
           spec;
           first_pass_done = false;
           completion = None;

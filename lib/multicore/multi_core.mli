@@ -13,7 +13,6 @@
 
 type config = {
   hierarchy : Mppm_cache.Hierarchy.config;
-  core : Mppm_simcore.Core_model.params;
   llc_partition : int array option;  (* mppm: unit ways *)
       (** way quotas per core for a way-partitioned shared LLC; length must
           cover the mix size.  [None] = fully shared LRU (the paper's
@@ -25,13 +24,13 @@ type config = {
 }
 
 val config :  (* mppm: unit config *)
-  ?core:Mppm_simcore.Core_model.params ->
   ?llc_partition:int array ->
   ?bandwidth:float ->
   Mppm_cache.Hierarchy.config ->
   config
-(** Convenience constructor; defaults are the paper's machine (default
-    core, fully shared LRU LLC, unlimited bandwidth). *)
+(** Convenience constructor; defaults are the paper's machine (fully
+    shared LRU LLC, unlimited bandwidth).  Every core is
+    {!Mppm_simcore.Core_model.default}. *)
 
 type program_spec = {
   benchmark : Mppm_trace.Benchmark.t;

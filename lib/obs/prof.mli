@@ -98,4 +98,4 @@ val pool_stats : t -> pool_stats option
 
 val pp_pool : Format.formatter -> t -> unit
 (** Render {!pool_stats} as the post-run utilization block printed by
-    [bench/main.exe] and [tools/calibrate.exe]. *)
+    [bench/main.exe]. *)

@@ -16,14 +16,12 @@ let push_run_counters engine =
 
 type run_config = {
   hierarchy : Hierarchy.config;
-  core : Core_model.params;
   perfect_llc : bool;
   bandwidth : float option;
 }
 
-let config ?(core = Core_model.default) ?(perfect_llc = false) ?bandwidth
-    hierarchy =
-  { hierarchy; core; perfect_llc; bandwidth }
+let config ?(perfect_llc = false) ?bandwidth hierarchy =
+  { hierarchy; perfect_llc; bandwidth }
 
 type totals = {
   instructions : int;
@@ -35,8 +33,8 @@ type totals = {
   llc_misses : int;
 }
 
-let build_engine ?sdc_profiler ?offset ?compute_scale ?replay ?record cfg
-    ~benchmark ~seed =
+let build_engine ?sdc_profiler ?compute_scale ?replay ?record cfg ~benchmark
+    ~seed =
   let generator = Generator.create ~seed benchmark in
   let hierarchy = Hierarchy.create ~perfect_llc:cfg.perfect_llc cfg.hierarchy in
   let memory_channel =
@@ -44,13 +42,12 @@ let build_engine ?sdc_profiler ?offset ?compute_scale ?replay ?record cfg
       (fun transfer_cycles -> Memory_channel.create ~transfer_cycles)
       cfg.bandwidth
   in
-  Core_engine.create ?sdc_profiler ?memory_channel ?compute_scale
-    ?llc_offset:offset ?replay ?record ~params:cfg.core ~hierarchy ~generator
-    ()
+  Core_engine.create ?sdc_profiler ?memory_channel ?compute_scale ?replay
+    ?record ~params:Core_model.default ~hierarchy ~generator ()
 
-let run ?offset ?compute_scale cfg ~benchmark ~seed ~instructions =
+let run ?compute_scale cfg ~benchmark ~seed ~instructions =
   if instructions <= 0 then invalid_arg "Single_core.run: instructions <= 0";
-  let engine = build_engine ?offset ?compute_scale cfg ~benchmark ~seed in
+  let engine = build_engine ?compute_scale cfg ~benchmark ~seed in
   let remaining = ref instructions in
   while !remaining > 0 do
     remaining := !remaining - Core_engine.step engine ~cap:!remaining
@@ -69,7 +66,7 @@ let run ?offset ?compute_scale cfg ~benchmark ~seed ~instructions =
     llc_misses = Core_engine.llc_misses engine;
   }
 
-let profile ?offset ?compute_scale ?replay ?record cfg ~benchmark ~seed
+let profile ?compute_scale ?replay ?record cfg ~benchmark ~seed
     ~trace_instructions ~interval_instructions =
   if cfg.perfect_llc then
     invalid_arg "Single_core.profile: profiling requires a real LLC";
@@ -83,8 +80,8 @@ let profile ?offset ?compute_scale ?replay ?record cfg ~benchmark ~seed
        interval length";
   let sdc_profiler = Sdc_profiler.create cfg.hierarchy.Hierarchy.llc.geometry in
   let engine =
-    build_engine ~sdc_profiler ?offset ?compute_scale ?replay ?record cfg
-      ~benchmark ~seed
+    build_engine ~sdc_profiler ?compute_scale ?replay ?record cfg ~benchmark
+      ~seed
   in
   let n_intervals = trace_instructions / interval_instructions in
   let intervals =
@@ -124,14 +121,13 @@ let profile ?offset ?compute_scale ?replay ?record cfg ~benchmark ~seed
     ~llc_assoc:cfg.hierarchy.Hierarchy.llc.geometry.Mppm_cache.Geometry.associativity
     intervals
 
-let memory_cpi_two_run ?offset ?compute_scale cfg ~benchmark ~seed
-    ~instructions =
+let memory_cpi_two_run ?compute_scale cfg ~benchmark ~seed ~instructions =
   let real =
-    run ?offset ?compute_scale { cfg with perfect_llc = false } ~benchmark
-      ~seed ~instructions
+    run ?compute_scale { cfg with perfect_llc = false } ~benchmark ~seed
+      ~instructions
   in
   let perfect =
-    run ?offset ?compute_scale { cfg with perfect_llc = true } ~benchmark
-      ~seed ~instructions
+    run ?compute_scale { cfg with perfect_llc = true } ~benchmark ~seed
+      ~instructions
   in
   real.cpi -. perfect.cpi

@@ -7,7 +7,6 @@
 
 type run_config = {
   hierarchy : Mppm_cache.Hierarchy.config;
-  core : Core_model.params;
   perfect_llc : bool;
       (** make every LLC access hit: the paper's alternative way of
           isolating the memory CPI component (two-run method) *)
@@ -19,13 +18,12 @@ type run_config = {
 }
 
 val config :  (* mppm: unit run_config *)
-  ?core:Core_model.params ->
   ?perfect_llc:bool ->
   ?bandwidth:float ->
   Mppm_cache.Hierarchy.config ->
   run_config
-(** Convenience constructor; [core] defaults to {!Core_model.default},
-    [perfect_llc] to [false], [bandwidth] to unlimited. *)
+(** Convenience constructor; [perfect_llc] defaults to [false],
+    [bandwidth] to unlimited.  The core is always {!Core_model.default}. *)
 
 (** Aggregate counters of one isolated run. *)
 type totals = {
@@ -38,8 +36,7 @@ type totals = {
   llc_misses : int;  (* mppm: unit accesses *)
 }
 
-val run :  (* mppm: unit offset:bytes -> seed:1 -> instructions:insns -> totals *)
-  ?offset:int ->
+val run :  (* mppm: unit seed:1 -> instructions:insns -> totals *)
   ?compute_scale:float ->
   run_config ->
   benchmark:Mppm_trace.Benchmark.t ->
@@ -50,11 +47,9 @@ val run :  (* mppm: unit offset:bytes -> seed:1 -> instructions:insns -> totals 
     isolation for [instructions] instructions and returns aggregate
     numbers.  With [perfect_llc = true], [memory_cpi] and [llc_misses] are
     zero by construction.  [compute_scale] models a heterogeneous "little"
-    core and [offset] (line-aligned) displaces the program's addresses at
-    the LLC (see {!Core_engine.create}). *)
+    core (see {!Core_engine.create}). *)
 
-val profile :  (* mppm: unit offset:bytes -> seed:1 -> trace_instructions:insns -> interval_instructions:insns -> profile *)
-  ?offset:int ->
+val profile :  (* mppm: unit seed:1 -> trace_instructions:insns -> interval_instructions:insns -> profile *)
   ?compute_scale:float ->
   ?replay:Private_stream.reader ->
   ?record:Private_stream.recorder ->
@@ -75,8 +70,7 @@ val profile :  (* mppm: unit offset:bytes -> seed:1 -> trace_instructions:insns 
     instead of the generator and private caches, with the same result bit
     for bit (see {!Core_engine.create}). *)
 
-val memory_cpi_two_run :  (* mppm: unit offset:bytes -> seed:1 -> instructions:insns -> cycles/insns *)
-  ?offset:int ->
+val memory_cpi_two_run :  (* mppm: unit seed:1 -> instructions:insns -> cycles/insns *)
   ?compute_scale:float ->
   run_config ->
   benchmark:Mppm_trace.Benchmark.t ->

@@ -397,6 +397,118 @@ let test_replayed_miss_rate_monotone () =
   Alcotest.(check bool) "bigger cache, fewer misses" true
     (misses 1024 < misses 64)
 
+(* Bit patterns of everything a profile or a detailed run measures. *)
+let profile_bits p =
+  Array.map
+    (fun iv ->
+      ( iv.Profile.instructions,
+        List.map Int64.bits_of_float
+          [ iv.Profile.cycles; iv.Profile.memory_stall_cycles;
+            iv.Profile.llc_accesses; iv.Profile.llc_misses ],
+        sdc_bits iv.Profile.sdc ))
+    p.Profile.intervals
+
+let detail_bits (r : Mppm_multicore.Multi_core.result) =
+  let module M = Mppm_multicore.Multi_core in
+  ( Int64.bits_of_float r.M.wall_cycles,
+    r.M.llc_total_accesses,
+    r.M.llc_total_misses,
+    Array.map
+      (fun (p : M.program_result) ->
+        ( p.M.name,
+          [ p.M.instructions; p.M.llc_accesses; p.M.llc_misses; p.M.total_retired ],
+          List.map Int64.bits_of_float [ p.M.cycles; p.M.multicore_cpi ] ))
+      r.M.programs )
+
+(* A context with a memory channel is a machine of its own.  Its profiles
+   equal live builds with a private channel, and its detailed runs a live
+   run whose cores share one, bit for bit, although both replay the
+   streams the paper's machine recorded in the same directory: the channel
+   changes only timing.  Its profiles are cached under names of their
+   own, so a second context of the same machine loads them from disk.
+   Checked on the bench's 16-cycle channel, which never queues a single
+   core, and on a 64-cycle one, which does. *)
+let test_context_bandwidth_machine () =
+  let module Single_core = Mppm_simcore.Single_core in
+  let module Multi_core = Mppm_multicore.Multi_core in
+  let module Suite = Mppm_trace.Suite in
+  let dir = fresh_dir () in
+  let count key = Mppm_obs.Registry.get key in
+  let mix = Mix.of_names [| "lbm"; "mcf"; "povray"; "soplex" |] in
+  let indices = Mix.indices mix in
+  let misses_before = count "stream_cache.misses" in
+  let paper_ctx = make_ctx dir in
+  let paper = Context.detailed paper_ctx ~llc_config:1 mix in
+  let machine bandwidth =
+    let label what = Printf.sprintf "%g cycles: %s" bandwidth what in
+    let channel_ctx () =
+      Context.create ~bandwidth ~cache_dir:dir ~seed:7 tiny_scale
+    in
+    let ctx = channel_ctx () in
+    let live_before = count "multicore.live_instructions" in
+    let m = Context.detailed ctx ~llc_config:1 mix in
+    check_close 0.0 (label "no instruction ran live") 0.0
+      (count "multicore.live_instructions" -. live_before);
+    let hierarchy = Context.hierarchy ctx ~llc_config:1 in
+    Array.iter
+      (fun i ->
+        let benchmark = Suite.all.(i) in
+        let live =
+          Single_core.profile
+            (Single_core.config ~bandwidth hierarchy)
+            ~benchmark
+            ~seed:(Suite.seed_for benchmark.Mppm_trace.Benchmark.name)
+            ~trace_instructions:tiny_scale.Scale.trace_instructions
+            ~interval_instructions:tiny_scale.Scale.interval_instructions
+        in
+        Alcotest.(check bool)
+          (label (Suite.names.(i) ^ ": profile = live channel profile"))
+          true
+          (profile_bits live = profile_bits (Context.profile ctx ~llc_config:1 i)))
+      indices;
+    let offsets = Multi_core.default_offsets ~seed:(Context.seed ctx) 16 in
+    let programs =
+      Array.mapi
+        (fun slot i ->
+          let benchmark = Suite.all.(i) in
+          { Multi_core.benchmark;
+            seed = Suite.seed_for benchmark.Mppm_trace.Benchmark.name;
+            offset = offsets.(slot) })
+        indices
+    in
+    let live =
+      Multi_core.run
+        (Multi_core.config ~bandwidth hierarchy)
+        ~programs ~trace_instructions:tiny_scale.Scale.trace_instructions
+    in
+    Alcotest.(check bool) (label "detailed = live channel run") true
+      (detail_bits live = detail_bits m.Context.m_detail);
+    Alcotest.(check bool) (label "the channel changes the run") true
+      (detail_bits live <> detail_bits paper.Context.m_detail);
+    let hits_before = count "profile_cache.hits" in
+    let again = channel_ctx () in
+    Array.iter (fun i -> ignore (Context.profile again ~llc_config:1 i)) indices;
+    check_close 0.0 (label "a second context loads the profiles")
+      (float_of_int (Array.length indices))
+      (count "profile_cache.hits" -. hits_before);
+    ctx
+  in
+  ignore (machine 16.0);
+  let slow = machine 64.0 in
+  let lbm = Suite.index "lbm" in
+  Alcotest.(check bool) "64 cycles: the channel changes lbm's profile" true
+    (profile_bits (Context.profile slow ~llc_config:1 lbm)
+    <> profile_bits (Context.profile paper_ctx ~llc_config:1 lbm));
+  let stream_files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".stream")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check_close 0.0 "each stream and segment recorded once"
+    (float_of_int (List.length stream_files))
+    (count "stream_cache.misses" -. misses_before);
+  remove_dir dir
+
 let test_context_rng_purposes () =
   with_ctx @@ fun ctx ->
   let a = Mppm_util.Rng.int (Context.rng ctx "alpha") 1_000_000 in
@@ -595,6 +707,8 @@ let tests =
         Alcotest.test_case "cache scan classifies streams" `Quick
           test_context_scan_cache;
         Alcotest.test_case "llc_sdc = profiles" `Quick test_context_llc_sdc;
+        Alcotest.test_case "bandwidth machine = live channel runs" `Quick
+          test_context_bandwidth_machine;
         Alcotest.test_case "rng purposes" `Quick test_context_rng_purposes;
         Alcotest.test_case "measured view" `Quick test_context_measured_view;
         Alcotest.test_case "predicted view" `Quick test_context_predict_view;

@@ -511,13 +511,9 @@ let test_cache_path_digest () =
     (contains (path ctx1) Mppm_trace.Suite.names.(0));
   Alcotest.(check bool) "different LLC config, different path" true
     (path ctx1 <> Context.cache_path ctx1 ~llc_config:2 0);
-  let little =
-    Context.create
-      ~core:{ Mppm_simcore.Core_model.default with memory_exposure = 0.9 }
-      ~seed:7 ~cache_dir:dir tiny_scale
-  in
-  Alcotest.(check bool) "different core params, different path" true
-    (path ctx1 <> path little)
+  let channel = Context.create ~bandwidth:16.0 ~seed:7 ~cache_dir:dir tiny_scale in
+  Alcotest.(check bool) "different bandwidth, different path" true
+    (path ctx1 <> path channel)
 
 let tests =
   [
