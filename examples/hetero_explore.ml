@@ -30,7 +30,7 @@ let on_little_core ~slowdown (p : Profile.t) =
           Profile.cycles =
             (compute *. slowdown) +. iv.Profile.memory_stall_cycles;
         })
-      p.Profile.intervals
+      (Profile.intervals p)
   in
   Profile.make ~benchmark:p.Profile.benchmark
     ~interval_instructions:p.Profile.interval_instructions

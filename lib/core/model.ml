@@ -73,24 +73,6 @@ let validate params inputs =
         invalid_arg "Model.predict: profiles at different LLC associativities")
     inputs
 
-(* Whole-trace average LLC miss penalty: cycles lost to LLC misses per
-   miss.  The model prices a window that has no misses at this rate (the
-   division in Fig. 2 needs a denominator). *)
-(* mppm: unit _ -> cycles/accesses *)
-let fallback_penalty profile =
-  let intervals = profile.Profile.intervals in
-  let misses = ref 0.0 and stall = ref 0.0 in
-  for k = 0 to Array.length intervals - 1 do
-    misses := !misses +. intervals.(k).Profile.llc_misses
-  done;
-  if !misses > 0.0 then begin
-    for k = 0 to Array.length intervals - 1 do
-      stall := !stall +. intervals.(k).Profile.memory_stall_cycles
-    done;
-    !stall /. !misses
-  end
-  else 0.0
-
 (* M/D/1 queueing wait at channel utilization [rho], capped at 0.98. *)
 (* mppm: unit _ -> 1 -> cycles *)
 let md1_wait b rho =
@@ -113,7 +95,9 @@ let run ?(obs = Trace.null) params inputs ~record =
   let trace_length =
     Array.map (fun p -> float_of_int (Profile.total_instructions p)) profiles
   in
-  let fallback = Array.map fallback_penalty profiles in
+  (* The model prices a window that has no misses at the whole-trace
+     penalty (the division in Fig. 2 needs a denominator). *)
+  let fallback = Array.map Profile.miss_penalty profiles in
   (* Per-program model state: slowdown R_p and instruction pointer I_p. *)
   let r = Array.make n 1.0 and ip = Array.make n 0.0 in
   let l = float_of_int params.iteration_instructions in

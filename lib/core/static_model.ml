@@ -26,21 +26,12 @@ type aggregate = {
 }
 
 let aggregate_of_profile profile =
-  let intervals = profile.Profile.intervals in
-  let sdc = Sdc.create ~assoc:profile.Profile.llc_assoc in
-  let stall = ref 0.0 and misses = ref 0.0 in
-  Array.iter
-    (fun iv ->
-      Sdc.add_into ~dst:sdc iv.Profile.sdc;
-      stall := !stall +. iv.Profile.memory_stall_cycles;
-      misses := !misses +. iv.Profile.llc_misses)
-    intervals;
   {
     label = profile.Profile.benchmark;
     cpi = Profile.cpi profile;
-    sdc;
+    sdc = (Profile.totals profile).Profile.sdc;
     trace_instructions = float_of_int (Profile.total_instructions profile);
-    miss_penalty = (if !misses > 0.0 then !stall /. !misses else 0.0);
+    miss_penalty = Profile.miss_penalty profile;
   }
 
 let validate params profiles =

@@ -556,7 +556,4 @@ let llc_sdc t ~llc bench_index =
       { base with Hierarchy.llc = { base.Hierarchy.llc with geometry = llc } }
       bench_index path
   in
-  Array.fold_left
-    (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
-    (Mppm_cache.Sdc.create ~assoc:llc.Mppm_cache.Geometry.associativity)
-    p.Profile.intervals
+  (Profile.totals p).Profile.sdc

@@ -14,9 +14,20 @@ type t = {
   benchmark : string;
   interval_instructions : int;
   llc_assoc : int;
-  intervals : interval array;
   interval_starts : int array;
+  values : float array;
+  prefix : float array;
 }
+
+(* Columns of a [values] or [prefix] row; the SDC counters C_1 ... C_{>A}
+   follow from [col_sdc]. *)
+let col_cycles = 0
+let col_memory_stall_cycles = 1
+let col_llc_accesses = 2
+let col_llc_misses = 3
+let col_sdc = 4
+let stride_of assoc = col_sdc + assoc + 1
+let interval_count t = Array.length t.interval_starts - 1
 
 let make ~benchmark ~interval_instructions ~llc_assoc intervals =
   if interval_instructions <= 0 then
@@ -29,31 +40,64 @@ let make ~benchmark ~interval_instructions ~llc_assoc intervals =
       if Sdc.assoc iv.sdc <> llc_assoc then
         invalid_arg "Profile.make: SDC associativity mismatch")
     intervals;
-  let n = Array.length intervals in
+  let n = Array.length intervals and stride = stride_of llc_assoc in
   let interval_starts = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    interval_starts.(k + 1) <- interval_starts.(k) + intervals.(k).instructions
-  done;
-  { benchmark; interval_instructions; llc_assoc; intervals; interval_starts }
+  let values = Array.make (n * stride) 0.0 in
+  let prefix = Array.make ((n + 1) * stride) 0.0 in
+  Array.iteri
+    (fun k iv ->
+      let row = k * stride in
+      interval_starts.(k + 1) <- interval_starts.(k) + iv.instructions;
+      values.(row + col_cycles) <- iv.cycles;
+      values.(row + col_memory_stall_cycles) <- iv.memory_stall_cycles;
+      values.(row + col_llc_accesses) <- iv.llc_accesses;
+      values.(row + col_llc_misses) <- iv.llc_misses;
+      Array.blit (Sdc.counters iv.sdc) 0 values (row + col_sdc) (llc_assoc + 1);
+      for c = row to row + stride - 1 do
+        prefix.(c + stride) <- prefix.(c) +. values.(c)
+      done)
+    intervals;
+  { benchmark; interval_instructions; llc_assoc; interval_starts; values; prefix }
+
+(* Row [row] of [rows] as an interval record with a fresh SDC. *)
+let interval_of_row t rows row instructions =
+  let sdc = Sdc.create ~assoc:t.llc_assoc in
+  Array.blit rows (row + col_sdc) (Sdc.counters sdc) 0 (t.llc_assoc + 1);
+  {
+    instructions;
+    cycles = rows.(row + col_cycles);
+    memory_stall_cycles = rows.(row + col_memory_stall_cycles);
+    llc_accesses = rows.(row + col_llc_accesses);
+    llc_misses = rows.(row + col_llc_misses);
+    sdc;
+  }
+
+let intervals t =
+  let starts = t.interval_starts in
+  Array.init (interval_count t) (fun k ->
+      interval_of_row t t.values (k * stride_of t.llc_assoc) (starts.(k + 1) - starts.(k)))
 
 let total_instructions t =
-  t.interval_starts.(Array.length t.intervals) - t.interval_starts.(0)
+  t.interval_starts.(interval_count t) - t.interval_starts.(0)
 
-let total_cycles t =
-  Array.fold_left (fun acc iv -> acc +. iv.cycles) 0.0 t.intervals
+(* The last prefix row: every interval, summed left to right from 0.0. *)
+let total_row t = interval_count t * stride_of t.llc_assoc
 
+let totals t = interval_of_row t t.prefix (total_row t) (total_instructions t)
+let total_cycles t = t.prefix.(total_row t + col_cycles)
 let cpi t = total_cycles t /. float_of_int (total_instructions t)
 
 let memory_cpi t =
-  Array.fold_left (fun acc iv -> acc +. iv.memory_stall_cycles) 0.0 t.intervals
-  /. float_of_int (total_instructions t)
+  t.prefix.(total_row t + col_memory_stall_cycles) /. float_of_int (total_instructions t)
 
 let memory_cpi_fraction t = memory_cpi t /. cpi t
 
 let llc_mpki t =
-  Array.fold_left (fun acc iv -> acc +. iv.llc_misses) 0.0 t.intervals
-  *. 1000.0
-  /. float_of_int (total_instructions t)
+  t.prefix.(total_row t + col_llc_misses) *. 1000.0 /. float_of_int (total_instructions t)
+
+let miss_penalty t =
+  let misses = t.prefix.(total_row t + col_llc_misses) in
+  if misses > 0.0 then t.prefix.(total_row t + col_memory_stall_cycles) /. misses else 0.0
 
 type window = {
   w_instructions : float;
@@ -64,73 +108,84 @@ type window = {
   w_sdc : Sdc.t;
 }
 
+(* Sums cell [sum_cycles + c] holds column [c] for [c < col_sdc]. *)
 let sum_instructions = 0
 let sum_cycles = 1
 let sum_memory_stall_cycles = 2
 let sum_llc_accesses = 3
 let sum_llc_misses = 4
+let sums_length = 5
 
-(* The two cells after the five sums hold the walk's float cursors. *)
-let remaining_cell = 5
-let offset_cell = 6
-let sums_length = 7
+(* The interval holding instruction [x] of one trace (x >= 0): the first
+   [k < n - 1] with [x < starts.(k + 1)], else the last.  The nominal
+   interval length gives a first guess, right whenever the intervals
+   before [x] have that length (as every profiled trace's do); a binary
+   search finds the rest. *)
+let interval_at t x =
+  let starts = t.interval_starts and n = interval_count t in
+  let guess = x / t.interval_instructions in
+  if guess < n && starts.(guess) <= x && (guess = n - 1 || x < starts.(guess + 1))
+  then guess
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if x < starts.(mid + 1) then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
 
-(* Walk intervals from the (wrapped) start position until [count.(i)]
-   instructions are consumed, taking linear fractions at the ends.  Every
-   sum starts at 0.0 and adds [field *. frac] per fragment, left to right;
-   [full = false] accumulates only instructions and cycles and leaves
+(* A window is three terms, each read in O(1): the tail of the start
+   interval [s] from the (wrapped) start position, the whole intervals
+   between as one prefix difference plus [laps] whole traces, and the head
+   of the end interval [e].  Boundaries are integers, so both intervals
+   are found from the integer part of a position, the start wraps and
+   finds its offset into [s] exactly in integer arithmetic, and the
+   head's length is the remaining count less an exact integer.  A window
+   inside [s] has no whole intervals and an empty head.  [full = false]
+   fills only instructions and cycles and zeroes the other sums, leaving
    [dst] alone. *)
 (* mppm: hot — per-quantum window accumulation *)
 let walk t ~start ~count i ~sums dst ~full =
   let start = start.(i) and count = count.(i) in
   if count <= 0.0 then invalid_arg "Profile.window: non-positive count";
   if start < 0.0 then invalid_arg "Profile.window: negative start";
-  let intervals = t.intervals and starts = t.interval_starts in
-  let n = Array.length intervals in
-  let pos = Float.rem start (float_of_int (total_instructions t)) in
-  (* The interval containing [pos]: the first [idx < n - 1] whose exact
-     int end offset lies above [pos], else the last.  [float_of_int] is
-     monotone, so the binary search finds the index a scan from interval 0
-     would. *)
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if pos < float_of_int starts.(mid + 1) then hi := mid else lo := mid + 1
+  (* Below 2^52 every position converts to an exact [int], and a start
+     plus a count cannot overflow one. *)
+  if not (start < 0x1p52 && count < 0x1p52) then
+    invalid_arg "Profile.window: start or count not below 2^52";
+  let starts = t.interval_starts and values = t.values and prefix = t.prefix in
+  let n = interval_count t and stride = stride_of t.llc_assoc in
+  let trace = total_instructions t in
+  let whole_start = int_of_float start in
+  let wrapped = whole_start mod trace in
+  let s = interval_at t wrapped in
+  let len_s = float_of_int (starts.(s + 1) - starts.(s)) in
+  let offset = float_of_int (wrapped - starts.(s)) +. (start -. float_of_int whole_start) in
+  let take = Float.min (len_s -. offset) count in
+  let rest = count -. take in
+  let far = starts.(s + 1) + int_of_float rest in
+  let laps = far / trace in
+  let e = interval_at t (far - (laps * trace)) in
+  let whole = (laps * trace) + starts.(e) - starts.(s + 1) in
+  let len_e = float_of_int (starts.(e + 1) - starts.(e)) in
+  let frac_s = take /. len_s and frac_e = (rest -. float_of_int whole) /. len_e in
+  let rs = s * stride and re = e * stride and traces = float_of_int laps in
+  let pa = (s + 1) * stride and pe = e * stride and pn = n * stride in
+  sums.(sum_instructions) <-
+    (len_s *. frac_s) +. float_of_int whole +. (len_e *. frac_e);
+  for c = 0 to (if full then stride - 1 else col_cycles) do
+    let v =
+      (values.(rs + c) *. frac_s)
+      +. (prefix.(pe + c) -. prefix.(pa + c) +. (traces *. prefix.(pn + c)))
+      +. (values.(re + c) *. frac_e)
+    in
+    if c < col_sdc then sums.(sum_cycles + c) <- v else dst.(c - col_sdc) <- v
   done;
-  let idx = ref !lo in
-  for c = sum_instructions to sum_llc_misses do
-    sums.(c) <- 0.0
-  done;
-  if full then
-    for j = 0 to Array.length dst - 1 do
-      dst.(j) <- 0.0
+  if not full then
+    for c = sum_memory_stall_cycles to sum_llc_misses do
+      sums.(c) <- 0.0
     done;
-  sums.(offset_cell) <- pos -. float_of_int starts.(!idx);
-  sums.(remaining_cell) <- count;
-  while sums.(remaining_cell) > 1e-9 do
-    let iv = intervals.(!idx) in
-    let len = float_of_int iv.instructions in
-    let take = Float.min (len -. sums.(offset_cell)) sums.(remaining_cell) in
-    let frac = take /. len in
-    if frac > 0.0 then begin
-      sums.(sum_instructions) <- sums.(sum_instructions) +. (len *. frac);
-      sums.(sum_cycles) <- sums.(sum_cycles) +. (iv.cycles *. frac);
-      if full then begin
-        sums.(sum_memory_stall_cycles) <-
-          sums.(sum_memory_stall_cycles) +. (iv.memory_stall_cycles *. frac);
-        sums.(sum_llc_accesses) <-
-          sums.(sum_llc_accesses) +. (iv.llc_accesses *. frac);
-        sums.(sum_llc_misses) <- sums.(sum_llc_misses) +. (iv.llc_misses *. frac);
-        let src = Sdc.counters iv.sdc in
-        for j = 0 to Array.length dst - 1 do
-          dst.(j) <- dst.(j) +. (src.(j) *. frac)
-        done
-      end
-    end;
-    sums.(remaining_cell) <- sums.(remaining_cell) -. take;
-    sums.(offset_cell) <- 0.0;
-    idx := (!idx + 1) mod n
-  done;
   if Invariant.enabled () then
     Invariant.check "profile.window_instructions"
       (Float.abs (sums.(sum_instructions) -. count) <= 1e-9 +. (1e-12 *. count))
@@ -166,7 +221,7 @@ let reduce_associativity t ~assoc =
       (fun iv ->
         let sdc = Sdc.reduce_associativity iv.sdc ~assoc in
         { iv with sdc; llc_misses = Sdc.misses sdc })
-      t.intervals
+      (intervals t)
   in
   make ~benchmark:t.benchmark ~interval_instructions:t.interval_instructions
     ~llc_assoc:assoc intervals
@@ -202,7 +257,8 @@ let save t path =
       Printf.fprintf oc "benchmark %s\n" t.benchmark;
       Printf.fprintf oc "interval %d\n" t.interval_instructions;
       Printf.fprintf oc "assoc %d\n" t.llc_assoc;
-      Printf.fprintf oc "intervals %d\n" (Array.length t.intervals);
+      let intervals = intervals t in
+      Printf.fprintf oc "intervals %d\n" (Array.length intervals);
       Array.iter
         (fun iv ->
           Printf.fprintf oc "%d %s %s %s %s" iv.instructions
@@ -213,7 +269,7 @@ let save t path =
             (fun c -> Printf.fprintf oc " %s" (float_str c))
             (Sdc.to_list iv.sdc);
           Printf.fprintf oc "\n")
-        t.intervals);
+        intervals);
   Sys.rename tmp path
 
 let load path =
@@ -287,4 +343,4 @@ let pp_summary ppf t =
     "%s: %d insns, CPI %.3f (mem %.3f, %.0f%%), LLC MPKI %.2f, %d intervals"
     t.benchmark (total_instructions t) (cpi t) (memory_cpi t)
     (100.0 *. memory_cpi_fraction t)
-    (llc_mpki t) (Array.length t.intervals)
+    (llc_mpki t) (interval_count t)

@@ -19,18 +19,29 @@ type interval = {
   sdc : Mppm_cache.Sdc.t;  (** LLC stack-distance counters *)
 }
 
-(** Built only by {!make} (and {!load}, {!reduce_associativity}), so
-    [interval_starts] always matches [intervals]; derive a changed profile
-    by passing new intervals to {!make}. *)
+(** Built only by {!make} and {!load} (and {!reduce_associativity}), so
+    the arrays always agree; derive a changed profile by passing new
+    intervals to {!make}.
+
+    The statistics are stored flat and unboxed, [stride = 4 + llc_assoc
+    + 1] floats to a row, in the column order cycles, memory stall
+    cycles, LLC accesses, LLC misses, then the SDC counters
+    C_1 ... C_{>A}. *)
 type t = private {
   benchmark : string;
   interval_instructions : int;  (** nominal interval length *)  (* mppm: unit insns *)
   llc_assoc : int;  (** associativity the SDCs were collected at *)
-  intervals : interval array;
   interval_starts : int array;  (* mppm: unit cumulative insns *)
       (** [n + 1] entries: [interval_starts.(k)] is the number of
           instructions before interval [k], so [interval_starts.(0) = 0]
           and [interval_starts.(n)] is the trace length *)
+  values : float array;
+      (** [n] rows: row [k] is interval [k]'s own statistics, exactly as
+          profiled (what {!save} writes) *)
+  prefix : float array;
+      (** [n + 1] rows: row [k] is the sum of rows [0 .. k - 1] of
+          [values], added left to right from 0.0, so row 0 is all zeros
+          and row [n] is the whole trace *)
 }
 
 val make :  (* mppm: unit profile *)
@@ -41,14 +52,25 @@ val make :  (* mppm: unit profile *)
   t
 (** Validates interval shapes (positive instruction counts, SDC
     associativity agreement) and builds the profile with its
-    [interval_starts]. *)
+    [interval_starts] and prefix rows. *)
+
+val intervals : t -> interval array  (* mppm: unit _ -> interval *)
+(** The intervals as records, rebuilt from the flat rows (fresh SDCs, so
+    the profile cannot be changed through them).  Allocates; for
+    serialization-level readers such as SimPoint clustering and tests. *)
+
+val totals : t -> interval  (* mppm: unit _ -> interval *)
+(** The whole trace as one interval: the last prefix row and the trace
+    length.  Each field equals the left-to-right fold of the intervals'
+    field from 0.0, bit for bit. *)
 
 val total_instructions : t -> int  (* mppm: unit insns *)
 (** Sum of interval instruction counts (the trace length), read from
     [interval_starts] in O(1). *)
 
 val total_cycles : t -> float  (* mppm: unit cycles *)
-(** Sum of interval cycle counts (the isolated run's duration). *)
+(** Sum of interval cycle counts (the isolated run's duration), read from
+    the last prefix row. *)
 
 val cpi : t -> float  (* mppm: unit cycles/insns *)
 (** Whole-trace single-core CPI. *)
@@ -62,6 +84,10 @@ val memory_cpi_fraction : t -> float  (* mppm: unit 1 *)
 
 val llc_mpki : t -> float  (* mppm: unit accesses/insns *)
 (** LLC misses per kilo-instruction over the whole trace. *)
+
+val miss_penalty : t -> float  (* mppm: unit cycles/accesses *)
+(** Whole-trace average LLC miss penalty: memory stall cycles per LLC
+    miss, 0 when the trace has no misses. *)
 
 (** Aggregate statistics over an instruction window [start, start+count),
     positions taken modulo the trace length (programs restart). *)
@@ -79,7 +105,8 @@ val window : t -> start:float -> count:float -> window
 (** [window t ~start ~count] sums interval statistics over the window,
     scaling the partial intervals at each end linearly (accesses are
     assumed uniform within one interval).  [count] must be positive and
-    [start] non-negative.  Allocates the window, then {!fill_window}s it. *)
+    [start] non-negative, both below 2^52 (so NaN and infinity are
+    rejected too).  Allocates the window, then {!fill_window}s it. *)
 
 (** {2 Windows into caller-owned storage}
 
@@ -88,8 +115,20 @@ val window : t -> start:float -> count:float -> window
     allocates once: the request is read from float array cells, the five
     sums are written to a float array of {!sums_length} cells, and the SDC
     to a caller-owned {!Mppm_cache.Sdc.t}.  A fill allocates nothing and
-    performs the same floating-point operations, in the same order, as
-    {!window}. *)
+    writes what {!window} returns, bit for bit.
+
+    A window costs two interval lookups in [interval_starts] (O(1) when
+    the intervals have the nominal length, as profiled ones do, else a
+    binary search) and O(assoc) reads of the flat rows, whatever its
+    start and length.  It is three terms: the start interval's tail, one
+    prefix difference for the whole intervals between (plus one
+    whole-trace row per lap when it wraps), and the end interval's head.  The prefix rows round at the
+    scale of the trace, not of the window, so each sum agrees with adding
+    the intervals' fractions one by one to within 1e-12 of its value or
+    1e-13 of the prefix magnitude it reads (its whole-trace total times
+    [count / trace length + 2]), whichever is larger.  With whole-number
+    statistics and both ends on interval boundaries, every term is exact,
+    and so is the window. *)
 
 val sum_instructions : int
 (** Cell of a sums array holding [w_instructions]. *)
@@ -107,8 +146,7 @@ val sum_llc_misses : int
 (** Cell holding [w_llc_misses]. *)
 
 val sums_length : int
-(** Length of a sums array: the five sums, then two cells the walk uses
-    as its cursors. *)
+(** Length of a sums array: the five sums. *)
 
 val fill_window :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sums:_ -> _ -> _ *)
   t ->
@@ -119,8 +157,8 @@ val fill_window :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sums:_ 
   Mppm_cache.Sdc.t ->
   unit
 (** [fill_window t ~start ~count i ~sums sdc] writes the window
-    [window t ~start:start.(i) ~count:count.(i)] into [sums] and [sdc],
-    bit for bit.  [sdc] must have the profile's associativity. *)
+    [window t ~start:start.(i) ~count:count.(i)] into [sums] and [sdc].
+    [sdc] must have the profile's associativity. *)
 
 val fill_window_cpi :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sums:_ -> _ *)
   t -> start:float array -> count:float array -> int -> sums:float array -> unit

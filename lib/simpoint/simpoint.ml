@@ -8,7 +8,7 @@ type phases = {
 }
 
 let features_of_profile profile =
-  let intervals = profile.Profile.intervals in
+  let intervals = Profile.intervals profile in
   let assoc = profile.Profile.llc_assoc in
   let raw =
     Array.map
@@ -78,17 +78,13 @@ let phases_of_profile ?(k = 8) ?(seed = 1) profile =
 
 let quantize ?(k = 8) ?seed profile =
   let phases = phases_of_profile ~k ?seed profile in
-  let intervals =
-    Array.mapi
-      (fun i _ ->
-        let rep = phases.representatives.(phases.assignment.(i)) in
-        let iv = profile.Profile.intervals.(rep) in
-        { iv with Profile.sdc = Sdc.copy iv.Profile.sdc })
-      profile.Profile.intervals
-  in
+  let intervals = Profile.intervals profile in
+  (* [make] copies every interval into its own row, so the
+     representatives can be shared. *)
   Profile.make ~benchmark:profile.Profile.benchmark
     ~interval_instructions:profile.Profile.interval_instructions
-    ~llc_assoc:profile.Profile.llc_assoc intervals
+    ~llc_assoc:profile.Profile.llc_assoc
+    (Array.map (fun c -> intervals.(phases.representatives.(c))) phases.assignment)
 
 let distinct_intervals profile =
   let table = Hashtbl.create ~random:false 16 in
@@ -102,5 +98,5 @@ let distinct_intervals profile =
           Sdc.to_list iv.Profile.sdc )
       in
       Hashtbl.replace table key ())
-    profile.Profile.intervals;
+    (Profile.intervals profile);
   Hashtbl.length table

@@ -327,7 +327,7 @@ let lifetime_sdc p =
   Array.fold_left
     (fun acc iv -> Mppm_cache.Sdc.add acc iv.Profile.sdc)
     (Mppm_cache.Sdc.create ~assoc:p.Profile.llc_assoc)
-    p.Profile.intervals
+    (Profile.intervals p)
 
 (* trace-stats' oracle: at a Table 2 config's LLC geometry, [llc_sdc] is
    the sum of that config's profile interval SDCs, bit for bit, whether
@@ -406,7 +406,7 @@ let profile_bits p =
           [ iv.Profile.cycles; iv.Profile.memory_stall_cycles;
             iv.Profile.llc_accesses; iv.Profile.llc_misses ],
         sdc_bits iv.Profile.sdc ))
-    p.Profile.intervals
+    (Profile.intervals p)
 
 let detail_bits (r : Mppm_multicore.Multi_core.result) =
   let module M = Mppm_multicore.Multi_core in

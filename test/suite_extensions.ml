@@ -354,16 +354,17 @@ let test_compute_scale_profile_matches_transform () =
       ~interval_instructions:10_000 in
   let little = Single_core.profile ~compute_scale:1.7 cfg ~benchmark ~seed
       ~trace_instructions:100_000 ~interval_instructions:10_000 in
+  let little = Profile.intervals little in
   Array.iteri
     (fun i iv ->
-      let jv = little.Profile.intervals.(i) in
+      let jv = little.(i) in
       check_close 1e-6 "interval transform"
         ((1.7 *. (iv.Profile.cycles -. iv.Profile.memory_stall_cycles))
         +. iv.Profile.memory_stall_cycles)
         jv.Profile.cycles;
       check_close 1e-6 "stall invariant" iv.Profile.memory_stall_cycles
         jv.Profile.memory_stall_cycles)
-    big.Profile.intervals
+    (Profile.intervals big)
 
 let test_hetero_multicore_single_program () =
   let offsets = Multi_core.default_offsets 1 in

@@ -105,7 +105,13 @@ let test_window_validations () =
   Alcotest.(check bool) "zero count" true
     (invalid (fun () -> Profile.window p ~start:0.0 ~count:0.0));
   Alcotest.(check bool) "negative start" true
-    (invalid (fun () -> Profile.window p ~start:(-1.0) ~count:10.0))
+    (invalid (fun () -> Profile.window p ~start:(-1.0) ~count:10.0));
+  List.iter
+    (fun (start, count) ->
+      Alcotest.(check bool) "non-finite or huge window rejected" true
+        (invalid (fun () -> Profile.window p ~start ~count)))
+    [ (nan, 10.0); (0.0, nan); (infinity, 10.0); (0.0, infinity); (0x1p52, 10.0);
+      (0.0, 0x1p60) ]
 
 let test_reduce_associativity () =
   let p = sample_profile () in
@@ -117,7 +123,7 @@ let test_reduce_associativity () =
          does not create new misses. *)
       check_close 1e-9 "misses re-derived from SDC" (float_of_int i)
         iv.Profile.llc_misses)
-    r.Profile.intervals;
+    (Profile.intervals r);
   Alcotest.(check bool) "cannot increase" true
     (try ignore (Profile.reduce_associativity p ~assoc:8); false
      with Invalid_argument _ -> true)
@@ -154,14 +160,14 @@ let test_save_load_roundtrip () =
       Alcotest.(check int) "interval len" p.Profile.interval_instructions
         q.Profile.interval_instructions;
       Alcotest.(check int) "assoc" p.Profile.llc_assoc q.Profile.llc_assoc;
-      Alcotest.(check int) "intervals" (Array.length p.Profile.intervals)
-        (Array.length q.Profile.intervals);
+      let p = Profile.intervals p and q = Profile.intervals q in
+      Alcotest.(check int) "intervals" (Array.length p) (Array.length q);
       (* Round-trip must be exact: a cache hit and a recompute have to be
          bit-for-bit interchangeable (traces are golden-tested on it). *)
       let bits = Int64.bits_of_float in
       Array.iteri
         (fun i iv ->
-          let jv = q.Profile.intervals.(i) in
+          let jv = q.(i) in
           Alcotest.(check int64) "cycles" (bits iv.Profile.cycles)
             (bits jv.Profile.cycles);
           Alcotest.(check int64) "stall"
@@ -170,7 +176,7 @@ let test_save_load_roundtrip () =
           Alcotest.(check (list int64)) "sdc"
             (List.map bits (Sdc.to_list iv.Profile.sdc))
             (List.map bits (Sdc.to_list jv.Profile.sdc)))
-        p.Profile.intervals)
+        p)
 
 let test_load_rejects_garbage () =
   let path = Filename.temp_file "mppm-test" ".prof" in

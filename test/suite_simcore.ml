@@ -192,7 +192,7 @@ let test_profile_shape () =
   let cfg = Single_core.config baseline in
   let p = Single_core.profile cfg ~benchmark:(bench "gamess") ~seed:(seed "gamess")
       ~trace_instructions:100_000 ~interval_instructions:10_000 in
-  Alcotest.(check int) "intervals" 10 (Array.length p.Profile.intervals);
+  Alcotest.(check int) "intervals" 10 (Array.length (Profile.intervals p));
   Alcotest.(check int) "total instructions" 100_000 (Profile.total_instructions p);
   Array.iter
     (fun iv ->
@@ -202,7 +202,7 @@ let test_profile_shape () =
         (Mppm_cache.Sdc.accesses iv.Profile.sdc);
       check_close 1e-6 "SDC misses = llc misses" iv.Profile.llc_misses
         (Mppm_cache.Sdc.misses iv.Profile.sdc))
-    p.Profile.intervals
+    (Profile.intervals p)
 
 let test_profile_matches_run () =
   (* Profiling must not perturb the simulation: totals equal a plain run. *)

@@ -1,7 +1,9 @@
-(* Bit identity and allocation of the model's quantum: caller-owned profile
-   windows, cell-accumulated SDC queries and caller-owned contention
-   predictions must reproduce the allocating forms they replaced bit for
-   bit, and the per-quantum path must allocate nothing. *)
+(* Identity and allocation of the model's quantum: prefix-sum profile
+   windows must reproduce the interval walk they replaced to 1e-12
+   relative (bit for bit where both are exact), cell-accumulated SDC
+   queries and caller-owned contention predictions must reproduce the
+   allocating forms they replaced bit for bit, and the per-quantum path
+   must allocate nothing. *)
 
 module Profile = Mppm_profile.Profile
 module Sdc = Mppm_cache.Sdc
@@ -13,10 +15,15 @@ let bits = Int64.bits_of_float
 
 (* ---- Reference walk --------------------------------------------------------
 
-   The allocating window walk the fill functions replaced, with its
-   arithmetic unchanged, kept as the oracle: a scaled copy of each fragment's SDC added into a fresh one,
-   the five sums rebuilt through a record per fragment, and the start
-   interval found by recursion over a float offset. *)
+   The allocating window walk the prefix windows replaced, with its
+   arithmetic unchanged, kept as the oracle: a scaled copy of each
+   fragment's SDC added into a fresh one, the five sums rebuilt through a
+   record per fragment, and the start interval found by recursion over a
+   float offset.  It adds the intervals one by one, so it rounds at the
+   scale of the window where the prefix windows round at the scale of
+   the trace.  The walk stopped once at most 1e-9 instructions remained,
+   dropping that last fragment; the prefix windows keep it, so the oracle
+   walks to the end (the one change to its arithmetic). *)
 
 type reference = {
   r_instructions : float;
@@ -58,7 +65,7 @@ let reference_window (t : Profile.t) ~start ~count =
         }
     end
   in
-  let intervals = t.Profile.intervals in
+  let intervals = (Profile.intervals t) in
   let pos = Float.rem start trace_len in
   let remaining = ref count in
   let rec locate i off =
@@ -69,7 +76,7 @@ let reference_window (t : Profile.t) ~start ~count =
   in
   let idx, offset = locate 0 0.0 in
   let idx = ref idx and offset = ref offset in
-  while !remaining > 1e-9 do
+  while !remaining > 0.0 do
     let iv = intervals.(!idx) in
     let len = float_of_int iv.Profile.instructions in
     let take = Float.min (len -. !offset) !remaining in
@@ -82,24 +89,33 @@ let reference_window (t : Profile.t) ~start ~count =
 
 (* ---- Generated profiles and windows --------------------------------------- *)
 
-(* Non-uniform interval lengths with a short last interval, fractional
-   timing and fractional SDC counters; up to 64 intervals, so the start
-   interval's binary search halves its range several times. *)
-let random_profile rng =
+(* Interval lengths that are either all the nominal one (the profiled
+   shape, where the interval search answers at its first guess) or random
+   (where it falls back to binary search), with a short last interval,
+   fractional timing and fractional SDC counters (whole numbers with
+   [~integer]); up to 64 intervals, so a binary search halves its range
+   several times. *)
+let random_profile ?(integer = false) rng =
+  let draw bound =
+    if integer then float_of_int (Rng.int rng (max 1 (int_of_float bound)))
+    else Rng.float rng bound
+  in
   let assoc = Rng.int_in rng ~lo:1 ~hi:16 in
   let n = Rng.int_in rng ~lo:1 ~hi:64 in
   let nominal = Rng.int_in rng ~lo:1 ~hi:5_000 in
+  let uniform = Rng.bernoulli rng ~p:0.5 in
   let interval i =
     let instructions =
       if Int.equal i (n - 1) then 1 + Rng.int rng (max 1 (nominal / 3))
+      else if uniform then nominal
       else Rng.int_in rng ~lo:1 ~hi:(2 * nominal)
     in
-    let counters = List.init (assoc + 1) (fun _ -> Rng.float rng 1_000.0) in
+    let counters = List.init (assoc + 1) (fun _ -> draw 1_000.0) in
     let sdc = Sdc.of_list ~assoc counters in
     {
       Profile.instructions;
-      cycles = Rng.float rng 3.0 *. float_of_int instructions;
-      memory_stall_cycles = Rng.float rng 1.0 *. float_of_int instructions;
+      cycles = draw (3.0 *. float_of_int instructions);
+      memory_stall_cycles = draw (float_of_int instructions);
       llc_accesses = Sdc.accesses sdc;
       llc_misses = Sdc.misses sdc;
       sdc;
@@ -111,7 +127,7 @@ let random_profile rng =
 (* The n + 1 interval boundaries of one trace, from 0 to its length,
    summed here rather than read from the profile's interval starts. *)
 let boundaries (p : Profile.t) =
-  let intervals = p.Profile.intervals in
+  let intervals = Profile.intervals p in
   let b = Array.make (Array.length intervals + 1) 0 in
   Array.iteri (fun k iv -> b.(k + 1) <- b.(k) + iv.Profile.instructions) intervals;
   Array.map float_of_int b
@@ -121,7 +137,7 @@ let boundaries (p : Profile.t) =
    traces. *)
 let random_window rng (p : Profile.t) =
   let trace = float_of_int (Profile.total_instructions p) in
-  let boundary () = (boundaries p).(Rng.int rng (Array.length p.Profile.intervals)) in
+  let boundary () = (boundaries p).(Rng.int rng (Array.length (Profile.intervals p))) in
   let start =
     match Rng.int rng 4 with
     | 0 -> Rng.float rng (7.0 *. trace)
@@ -133,7 +149,7 @@ let random_window rng (p : Profile.t) =
     match Rng.int rng 4 with
     | 0 -> 1e-9 *. (1.0 +. Rng.float rng 10.0)
     | 1 -> 1e-9 *. (10.0 ** Rng.float rng 10.0) *. trace *. 2.0
-    | 2 -> float_of_int p.Profile.intervals.(0).Profile.instructions
+    | 2 -> float_of_int (Profile.intervals p).(0).Profile.instructions
     | _ -> Rng.float rng (20.0 *. trace)
   in
   (start, if count > 0.0 then count else 1e-9)
@@ -143,35 +159,71 @@ let same_bits a b = Int64.equal (bits a) (bits b)
 let same_counters a b =
   List.for_all2 same_bits (Sdc.to_list a) (Sdc.to_list b)
 
-let fill_matches p ~start ~count =
-  let r = reference_window p ~start ~count in
+(* A window's five sums, then its SDC counters. *)
+let reference_values r =
+  [ r.r_instructions; r.r_cycles; r.r_memory_stall_cycles; r.r_llc_accesses;
+    r.r_llc_misses ]
+  @ Sdc.to_list r.r_sdc
+
+let window_values (w : Profile.window) =
+  [ w.Profile.w_instructions; w.Profile.w_cycles; w.Profile.w_memory_stall_cycles;
+    w.Profile.w_llc_accesses; w.Profile.w_llc_misses ]
+  @ Sdc.to_list w.Profile.w_sdc
+
+let sums_values sums sdc =
+  List.map
+    (fun c -> sums.(c))
+    [ Profile.sum_instructions; Profile.sum_cycles; Profile.sum_memory_stall_cycles;
+      Profile.sum_llc_accesses; Profile.sum_llc_misses ]
+  @ Sdc.to_list sdc
+
+let interval_values (iv : Profile.interval) =
+  [ float_of_int iv.Profile.instructions; iv.Profile.cycles;
+    iv.Profile.memory_stall_cycles; iv.Profile.llc_accesses; iv.Profile.llc_misses ]
+  @ Sdc.to_list iv.Profile.sdc
+
+(* Per value, the largest prefix magnitude a window of [count] reads: the
+   value's whole-trace total times the traces the window can touch. *)
+let prefix_scales p ~count =
+  let traces = (count /. float_of_int (Profile.total_instructions p)) +. 2.0 in
+  List.map (fun total -> total *. traces) (interval_values (Profile.totals p))
+
+(* Profile.mli's error bound: a relative error of at most 1e-12, or an
+   absolute one of at most 1e-13 of the prefix magnitude [scale] (the
+   prefix rows round at the scale of the trace, so a window whose value is
+   tiny beside its trace's total carries their rounding). *)
+let close scale a b =
+  let d = Float.abs (a -. b) in
+  d <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) || d <= 1e-13 *. scale
+
+let exact _ a b = same_bits a b
+
+(* [fill_window], [window] and [fill_window_cpi] each agree with the
+   reference walk under [eq]. *)
+let fill_matches ~eq p ~start ~count =
+  let expected = reference_values (reference_window p ~start ~count) in
+  let scales = prefix_scales p ~count in
+  let matches got =
+    List.for_all2 (fun (scale, e) g -> eq scale e g) (List.combine scales expected) got
+  in
   let sums = Array.make Profile.sums_length nan in
   let sdc = Sdc.create ~assoc:p.Profile.llc_assoc in
   Sdc.record sdc ~depth:1;
   Profile.fill_window p ~start:[| start |] ~count:[| count |] 0 ~sums sdc;
-  let sum c = sums.(c) in
-  let full =
-    same_bits r.r_instructions (sum Profile.sum_instructions)
-    && same_bits r.r_cycles (sum Profile.sum_cycles)
-    && same_bits r.r_memory_stall_cycles (sum Profile.sum_memory_stall_cycles)
-    && same_bits r.r_llc_accesses (sum Profile.sum_llc_accesses)
-    && same_bits r.r_llc_misses (sum Profile.sum_llc_misses)
-    && same_counters r.r_sdc sdc
-  in
-  let w = Profile.window p ~start ~count in
-  let wrapper =
-    same_bits r.r_instructions w.Profile.w_instructions
-    && same_bits r.r_cycles w.Profile.w_cycles
-    && same_bits r.r_memory_stall_cycles w.Profile.w_memory_stall_cycles
-    && same_bits r.r_llc_accesses w.Profile.w_llc_accesses
-    && same_bits r.r_llc_misses w.Profile.w_llc_misses
-    && same_counters r.r_sdc w.Profile.w_sdc
-  in
+  let full = matches (sums_values sums sdc) in
+  let wrapper = matches (window_values (Profile.window p ~start ~count)) in
   Array.fill sums 0 Profile.sums_length nan;
   Profile.fill_window_cpi p ~start:[| 0.0; start |] ~count:[| 1.0; count |] 1 ~sums;
   let cpi_only =
-    same_bits r.r_instructions (sum Profile.sum_instructions)
-    && same_bits r.r_cycles (sum Profile.sum_cycles)
+    match List.combine scales expected with
+    | (si, i) :: (sc, c) :: _ ->
+        eq si i sums.(Profile.sum_instructions)
+        && eq sc c sums.(Profile.sum_cycles)
+        && List.for_all
+             (fun c -> Float.equal sums.(c) 0.0)
+             [ Profile.sum_memory_stall_cycles; Profile.sum_llc_accesses;
+               Profile.sum_llc_misses ]
+    | _ -> false
   in
   full && wrapper && cpi_only
 
@@ -179,7 +231,7 @@ let fill_matches_reference seed =
   let rng = Rng.create ~seed in
   let p = random_profile rng in
   let start, count = random_window rng p in
-  fill_matches p ~start ~count
+  fill_matches ~eq:close p ~start ~count
 
 (* Every interval boundary of the trace and of its next three laps, and
    the floats one ulp either side of it: the starts where the search for
@@ -189,7 +241,7 @@ let boundary_starts_match seed =
   let p = random_profile rng in
   let trace = float_of_int (Profile.total_instructions p) in
   let counts =
-    [ 1e-9; 1.0; float_of_int p.Profile.intervals.(0).Profile.instructions;
+    [ 1e-9; 1.0; float_of_int (Profile.intervals p).(0).Profile.instructions;
       trace; Rng.float rng (3.0 *. trace) +. 1e-9 ]
   in
   Array.for_all
@@ -200,13 +252,13 @@ let boundary_starts_match seed =
           List.for_all
             (fun start ->
               start < 0.0
-              || List.for_all (fun count -> fill_matches p ~start ~count) counts)
+              || List.for_all (fun count -> fill_matches ~eq:close p ~start ~count) counts)
             [ Float.pred at; at; Float.succ at ])
         [ 0; 1; 2; 3 ])
     (boundaries p)
 
 let interval_fold p =
-  Array.fold_left (fun acc iv -> acc + iv.Profile.instructions) 0 p.Profile.intervals
+  Array.fold_left (fun acc iv -> acc + iv.Profile.instructions) 0 (Profile.intervals p)
 
 (* total_instructions is read from the cached interval starts; it must
    equal the fold over the intervals, for a made and a loaded profile. *)
@@ -223,6 +275,71 @@ let total_is_fold seed =
   Int.equal (Profile.total_instructions p) (interval_fold p)
   && Int.equal (Profile.total_instructions q) (interval_fold q)
   && Int.equal (interval_fold p) (interval_fold q)
+
+(* Whole-number counts, and windows that start and end on interval
+   boundaries, some laps apart: every fraction is 0 or 1 and every sum a
+   whole number, so the walk and the prefix window are both exact and
+   must agree bit for bit. *)
+let boundary_windows_exact seed =
+  let rng = Rng.create ~seed in
+  let p = random_profile ~integer:true rng in
+  let b = boundaries p in
+  let n = Array.length b - 1 in
+  let trace = b.(n) in
+  List.for_all
+    (fun _ ->
+      let first = Rng.int rng n and last = Rng.int rng (n + 1) in
+      let laps = Rng.int rng 4 in
+      let count = b.(last) -. b.(first) +. (trace *. float_of_int laps) in
+      let start = b.(first) +. (trace *. float_of_int (Rng.int rng 3)) in
+      count <= 0.0 || fill_matches ~eq:exact p ~start ~count)
+    (List.init 30 Fun.id)
+
+(* A window of [k] whole traces plus [r] instructions is [k] times the
+   trace totals plus the [r] window. *)
+let laps_add_up seed =
+  let rng = Rng.create ~seed in
+  let p = random_profile rng in
+  let start, r = random_window rng p in
+  let k = float_of_int (Rng.int_in rng ~lo:1 ~hi:6) in
+  let assoc = p.Profile.llc_assoc in
+  let fill count =
+    let sums = Array.make Profile.sums_length nan and sdc = Sdc.create ~assoc in
+    Profile.fill_window p ~start:[| start |] ~count:[| count |] 0 ~sums sdc;
+    sums_values sums sdc
+  in
+  let count = (k *. float_of_int (Profile.total_instructions p)) +. r in
+  List.for_all2
+    (fun (scale, got) (lap, rest) -> close scale got ((k *. lap) +. rest))
+    (List.combine (prefix_scales p ~count) (fill count))
+    (List.combine (interval_values (Profile.totals p)) (fill r))
+
+(* The whole-trace reads (the last prefix row) equal the left-to-right
+   folds over the intervals they replaced, bit for bit, on fractional
+   counts. *)
+let totals_are_folds seed =
+  let p = random_profile (Rng.create ~seed) in
+  let intervals = Profile.intervals p in
+  let fold field = Array.fold_left (fun acc iv -> acc +. field iv) 0.0 intervals in
+  let insns = float_of_int (interval_fold p) in
+  let t = Profile.totals p in
+  Int.equal t.Profile.instructions (interval_fold p)
+  && same_bits t.Profile.cycles (fold (fun iv -> iv.Profile.cycles))
+  && same_bits t.Profile.memory_stall_cycles (fold (fun iv -> iv.Profile.memory_stall_cycles))
+  && same_bits t.Profile.llc_accesses (fold (fun iv -> iv.Profile.llc_accesses))
+  && same_bits t.Profile.llc_misses (fold (fun iv -> iv.Profile.llc_misses))
+  && same_counters t.Profile.sdc
+       (Array.fold_left
+          (fun acc iv -> Sdc.add acc iv.Profile.sdc)
+          (Sdc.create ~assoc:p.Profile.llc_assoc)
+          intervals)
+  && same_bits (Profile.total_cycles p) (fold (fun iv -> iv.Profile.cycles))
+  && same_bits (Profile.memory_cpi p) (fold (fun iv -> iv.Profile.memory_stall_cycles) /. insns)
+  && same_bits (Profile.llc_mpki p) (fold (fun iv -> iv.Profile.llc_misses) *. 1000.0 /. insns)
+  &&
+  let misses = fold (fun iv -> iv.Profile.llc_misses) in
+  same_bits (Profile.miss_penalty p)
+    (if misses > 0.0 then fold (fun iv -> iv.Profile.memory_stall_cycles) /. misses else 0.0)
 
 (* ---- SDC queries against their fold definitions ---------------------------- *)
 
@@ -459,12 +576,18 @@ let test_model_quantum_allocation_free () =
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"fill_window = reference walk, bit for bit" ~count:500
+    Test.make ~name:"fill_window = reference walk, within 1e-12" ~count:500
       (int_bound 1_000_000) fill_matches_reference;
-    Test.make ~name:"starts at interval boundaries = reference walk" ~count:40
-      (int_bound 1_000_000) boundary_starts_match;
+    Test.make ~name:"starts at interval boundaries = reference walk, within 1e-12"
+      ~count:40 (int_bound 1_000_000) boundary_starts_match;
     Test.make ~name:"total_instructions = interval fold" ~count:100
       (int_bound 1_000_000) total_is_fold;
+    Test.make ~name:"whole counts, boundary windows = reference walk, bit for bit"
+      ~count:200 (int_bound 1_000_000) boundary_windows_exact;
+    Test.make ~name:"k traces + r = k x totals + r window" ~count:300
+      (int_bound 1_000_000) laps_add_up;
+    Test.make ~name:"whole-trace reads = interval folds, bit for bit" ~count:200
+      (int_bound 1_000_000) totals_are_folds;
     Test.make ~name:"Sdc queries = their folds, bit for bit" ~count:500
       (int_bound 1_000_000) sdc_matches_folds;
     Test.make ~name:"predict_into = predict = reference models" ~count:300
