@@ -274,15 +274,6 @@ let run length seed cache_dir listen jobs warm_configs =
     | Error msg -> failwith msg
   in
   let warm_configs = parse_warm_configs warm_configs in
-  (* Minor heaps are most of the daemon's memory: at the 256K-word
-     default, every domain (the main one and each worker) reserves 2 MB,
-     against about 0.3 MB of resident config-1 profiles, and the peak RSS
-     follows how deep each heap happens to be touched between
-     collections, which varies with request rate and scheduling.  A
-     Predict allocates a few thousand words, so 64K words per domain
-     still spans several requests per minor collection.  Set before the
-     pool starts, so its worker domains get the same size. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 65536 };
   let ctx = Context.create ~seed ~cache_dir (Scale.of_trace length) in
   let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
   Pool.with_pool ~jobs @@ fun pool ->

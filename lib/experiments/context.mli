@@ -40,7 +40,7 @@ val rng : t -> string -> Mppm_util.Rng.t
 (** [rng t purpose] is a fresh deterministic stream for the given purpose
     string; distinct purposes yield independent streams. *)
 
-val model_params : t -> Mppm_core.Model.params  (* mppm: unit params *)
+val model_params : t -> Mppm_core.Model.params
 (** The MPPM parameters this context uses: {!Mppm_core.Model.default_params}
     (paper-faithful ratios) at the context's scale. *)
 

@@ -122,13 +122,15 @@ val window : t -> start:float -> count:float -> window
     binary search) and O(assoc) reads of the flat rows, whatever its
     start and length.  It is three terms: the start interval's tail, one
     prefix difference for the whole intervals between (plus one
-    whole-trace row per lap when it wraps), and the end interval's head.  The prefix rows round at the
-    scale of the trace, not of the window, so each sum agrees with adding
-    the intervals' fractions one by one to within 1e-12 of its value or
-    1e-13 of the prefix magnitude it reads (its whole-trace total times
-    [count / trace length + 2]), whichever is larger.  With whole-number
-    statistics and both ends on interval boundaries, every term is exact,
-    and so is the window. *)
+    whole-trace row per lap when it wraps), and the end interval's head.
+    The prefix rows round at the scale of the trace, not of the window,
+    so each sum agrees with adding the intervals' fractions one by one to
+    within 1e-12 of its value or 1e-13 of the prefix rows it reads (the
+    row after the start interval, the end interval's row and the
+    whole-trace row once per lap), whichever is larger.  A window that
+    spans no whole interval reads no prefix row, so it is held to 1e-12
+    of its value alone.  With whole-number statistics and both ends on
+    interval boundaries, every term is exact, and so is the window. *)
 
 val sum_instructions : int
 (** Cell of a sums array holding [w_instructions]. *)

@@ -65,7 +65,7 @@ let reference_window (t : Profile.t) ~start ~count =
         }
     end
   in
-  let intervals = (Profile.intervals t) in
+  let intervals = Profile.intervals t in
   let pos = Float.rem start trace_len in
   let remaining = ref count in
   let rec locate i off =
@@ -182,19 +182,45 @@ let interval_values (iv : Profile.interval) =
     iv.Profile.memory_stall_cycles; iv.Profile.llc_accesses; iv.Profile.llc_misses ]
   @ Sdc.to_list iv.Profile.sdc
 
-(* Per value, the largest prefix magnitude a window of [count] reads: the
-   value's whole-trace total times the traces the window can touch. *)
-let prefix_scales p ~count =
-  let traces = (count /. float_of_int (Profile.total_instructions p)) +. 2.0 in
-  List.map (fun total -> total *. traces) (interval_values (Profile.totals p))
+(* Per value, the magnitude of the prefix rows a window reads, where it
+   rounds at the scale of the trace rather than of the window: the row
+   after its start interval, the row of its end interval and one
+   whole-trace row per lap.  A window that spans no whole interval reads
+   none (its prefix difference is exactly zero), and instructions read no
+   prefix row, so both are held to the relative bound alone.  Rounding at
+   the window's edges only widens this: a whole interval is counted from
+   1e-6 instructions short of it, and the end is taken one instruction
+   late. *)
+let prefix_reads (p : Profile.t) ~start ~count =
+  let b = boundaries p in
+  let n = Array.length b - 1 in
+  let trace = Profile.total_instructions p in
+  let stride = Array.length p.Profile.prefix / (n + 1) in
+  (* The traces before position [x] of the unrolled trace, and the
+     interval holding it. *)
+  let locate x =
+    let r = float_of_int (x mod trace) in
+    let k = ref (n - 1) in
+    while b.(!k) > r do decr k done;
+    (x / trace, !k)
+  in
+  let whole_start = int_of_float start in
+  let from = start -. float_of_int (whole_start - (whole_start mod trace)) in
+  let _, s = locate (whole_start mod trace) in
+  let next = (s + 1) mod n in
+  let spans_whole = from +. count >= b.(s + 1) +. (b.(next + 1) -. b.(next)) -. 1e-6 in
+  let laps, e = locate (int_of_float (from +. count) + 1) in
+  let row k c = p.Profile.prefix.((k * stride) + c) in
+  0.0
+  :: List.init stride (fun c ->
+         if spans_whole then row (s + 1) c +. row e c +. (float_of_int laps *. row n c)
+         else 0.0)
 
 (* Profile.mli's error bound: a relative error of at most 1e-12, or an
-   absolute one of at most 1e-13 of the prefix magnitude [scale] (the
-   prefix rows round at the scale of the trace, so a window whose value is
-   tiny beside its trace's total carries their rounding). *)
-let close scale a b =
+   absolute one of at most 1e-13 of the prefix rows it reads, [read]. *)
+let close read a b =
   let d = Float.abs (a -. b) in
-  d <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) || d <= 1e-13 *. scale
+  d <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) || d <= 1e-13 *. read
 
 let exact _ a b = same_bits a b
 
@@ -202,9 +228,9 @@ let exact _ a b = same_bits a b
    reference walk under [eq]. *)
 let fill_matches ~eq p ~start ~count =
   let expected = reference_values (reference_window p ~start ~count) in
-  let scales = prefix_scales p ~count in
+  let reads = prefix_reads p ~start ~count in
   let matches got =
-    List.for_all2 (fun (scale, e) g -> eq scale e g) (List.combine scales expected) got
+    List.for_all2 (fun (read, e) g -> eq read e g) (List.combine reads expected) got
   in
   let sums = Array.make Profile.sums_length nan in
   let sdc = Sdc.create ~assoc:p.Profile.llc_assoc in
@@ -215,7 +241,7 @@ let fill_matches ~eq p ~start ~count =
   Array.fill sums 0 Profile.sums_length nan;
   Profile.fill_window_cpi p ~start:[| 0.0; start |] ~count:[| 1.0; count |] 1 ~sums;
   let cpi_only =
-    match List.combine scales expected with
+    match List.combine reads expected with
     | (si, i) :: (sc, c) :: _ ->
         eq si i sums.(Profile.sum_instructions)
         && eq sc c sums.(Profile.sum_cycles)
@@ -310,8 +336,8 @@ let laps_add_up seed =
   in
   let count = (k *. float_of_int (Profile.total_instructions p)) +. r in
   List.for_all2
-    (fun (scale, got) (lap, rest) -> close scale got ((k *. lap) +. rest))
-    (List.combine (prefix_scales p ~count) (fill count))
+    (fun (read, got) (lap, rest) -> close read got ((k *. lap) +. rest))
+    (List.combine (prefix_reads p ~start ~count) (fill count))
     (List.combine (interval_values (Profile.totals p)) (fill r))
 
 (* The whole-trace reads (the last prefix row) equal the left-to-right
