@@ -1,20 +1,15 @@
 (* Tags live in one flat array: set [s] owns the [ways] slots starting at
    [s * ways], in recency order (slot 0 of the set is MRU).  [fill] tracks
    how many ways of each set are valid; valid tags occupy the prefix.  For
-   FIFO, [ages] holds each set's tags in insertion order so hits do not
-   disturb the victim cursor.  For partitioned caches, [owners] mirrors
-   [tags] with the inserting owner of every line.  Arrays a policy does not
-   use are empty. *)
+   partitioned caches, [owners] mirrors [tags] with the inserting owner of
+   every line; it is empty otherwise. *)
 type t = {
   geometry : Geometry.t;
-  policy : Replacement.t;
   ways : int;
   set_shift : int;
   set_mask : int;
   tags : int array;  (* sets * ways, each set MRU first *)
   fill : int array;  (* valid ways per set *)
-  ages : int array;  (* FIFO: each set's tags in insertion order *)
-  rng : Mppm_util.Rng.t option;  (* Random policy only *)
   quotas : int array;  (* way quotas per owner; empty when unpartitioned *)
   owners : int array;  (* per-line owners, parallel to [tags] *)
   counts : int array;  (* per-owner census scratch for victim selection *)
@@ -25,7 +20,7 @@ type t = {
 
 let invalid_tag = -1
 
-let create ?(policy = Replacement.Lru) ?partition geometry =
+let create ?partition geometry =
   let sets = geometry.Geometry.num_sets in
   let ways = geometry.Geometry.associativity in
   let lines = sets * ways in
@@ -33,8 +28,6 @@ let create ?(policy = Replacement.Lru) ?partition geometry =
     match partition with
     | None -> [||]
     | Some quotas ->
-        if policy <> Replacement.Lru then
-          invalid_arg "Cache.create: partitioning requires the LRU policy";
         if Array.length quotas = 0 then invalid_arg "Cache.create: empty partition";
         Array.iter
           (fun q -> if q <= 0 then invalid_arg "Cache.create: non-positive quota")
@@ -46,20 +39,11 @@ let create ?(policy = Replacement.Lru) ?partition geometry =
   let partitioned = Array.length quotas > 0 in
   {
     geometry;
-    policy;
     ways;
     set_shift = geometry.Geometry.set_shift;
     set_mask = geometry.Geometry.set_mask;
     tags = Array.make lines invalid_tag;
     fill = Array.make sets 0;
-    ages =
-      (match policy with
-      | Replacement.Fifo -> Array.make lines invalid_tag
-      | _ -> [||]);
-    rng =
-      (match policy with
-      | Replacement.Random seed -> Some (Mppm_util.Rng.create ~seed)
-      | _ -> None);
     quotas;
     owners = (if partitioned then Array.make lines invalid_tag else [||]);
     counts = Array.make (Array.length quotas) 0;
@@ -135,18 +119,6 @@ let partition_victim t base owner =
       let pos = deepest_from t base owner 2 (ways - 1) in
       if pos >= 0 then pos else ways - 1
 
-(* FIFO victim: the set's oldest insertion.  Rotates the set's ages with
-   [tag] as the newest and returns the victim's recency position. *)
-(* mppm: unit ways -- victim recency position *)
-let fifo_victim t base tag =
-  let ages = t.ages in
-  let victim_tag = ages.(base) in
-  Array.blit ages (base + 1) ages base (t.ways - 1);
-  ages.(base + t.ways - 1) <- tag;
-  let pos = find_in_set t.tags base t.ways victim_tag in
-  assert (pos >= 0);
-  pos
-
 (* Put [tag] (inserted by [owner]) at the MRU slot, dropping the line at
    recency position [victim_pos] (or the first invalid slot). *)
 let insert t base victim_pos tag owner =
@@ -178,22 +150,11 @@ let access_as t ~owner addr =
     if fill < ways then begin
       (* Grow the valid prefix: shift it down, new tag in front. *)
       insert t base fill line owner;
-      t.fill.(set_idx) <- fill + 1;
-      match t.policy with
-      | Replacement.Fifo -> t.ages.(base + fill) <- line
-      | Replacement.Lru | Replacement.Random _ -> ()
+      t.fill.(set_idx) <- fill + 1
     end
     else begin
       let victim_pos =
-        if partitioned then partition_victim t base owner
-        else
-          match t.policy with
-          | Replacement.Lru -> ways - 1
-          | Replacement.Random _ -> (
-              match t.rng with
-              | Some rng -> Mppm_util.Rng.int rng ways
-              | None -> assert false)
-          | Replacement.Fifo -> fifo_victim t base line
+        if partitioned then partition_victim t base owner else ways - 1
       in
       insert t base victim_pos line owner
     end;
@@ -210,22 +171,6 @@ let probe t addr =
 let accesses t = t.accesses
 let hits t = t.hits
 let misses t = t.misses
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.hits <- 0;
-  t.misses <- 0
-
-let clear t =
-  let invalidate a = Array.fill a 0 (Array.length a) invalid_tag in
-  invalidate t.tags;
-  invalidate t.ages;
-  invalidate t.owners;
-  Array.fill t.fill 0 (Array.length t.fill) 0;
-  reset_stats t
 
 let resident_lines t = Array.fold_left ( + ) 0 t.fill
 
@@ -244,23 +189,20 @@ let owner_lines t ~owner =
   else if owner = 0 then resident_lines t
   else 0
 
-(* Order: the three statistics, the Random policy's PRNG state (if any),
-   then [fill], [tags], [ages] and [owners]. *)
+(* Order: the three statistics, then [fill], [tags] and [owners]. *)
 let save t put =
   put t.accesses;
   put t.hits;
   put t.misses;
-  Option.iter (fun rng -> Mppm_util.Rng.save rng put) t.rng;
-  List.iter (Array.iter put) [ t.fill; t.tags; t.ages; t.owners ]
+  List.iter (Array.iter put) [ t.fill; t.tags; t.owners ]
 
 let restore t get =
   t.accesses <- get ();
   t.hits <- get ();
   t.misses <- get ();
-  Option.iter (fun rng -> Mppm_util.Rng.restore rng get) t.rng;
   List.iter
     (fun a -> Array.iteri (fun i _ -> a.(i) <- get ()) a)
-    [ t.fill; t.tags; t.ages; t.owners ];
+    [ t.fill; t.tags; t.owners ];
   Array.iter
     (fun n ->
       if n < 0 || n > t.ways then invalid_arg "Cache.restore: corrupt set fill")

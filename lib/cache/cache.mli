@@ -1,4 +1,4 @@
-(** A set-associative cache model with pluggable replacement.
+(** A set-associative LRU cache model, optionally way-partitioned.
 
     The model tracks only tags (no data), which is all a timing/contention
     study needs.  Every access reports its LRU-stack depth on a hit, so a
@@ -7,22 +7,20 @@
 
     Outcomes are int-coded so the per-access path allocates nothing: [0]
     is a miss and [d >= 1] a hit at 1-based recency depth [d] of the set
-    ([1] = most recently used).  For non-LRU policies the depth is still
-    the recency depth, maintained alongside the policy. *)
+    ([1] = most recently used). *)
 
 type t
 (** A mutable cache instance. *)
 
-val create : ?policy:Replacement.t -> ?partition:int array -> Geometry.t -> t
-(** [create ~policy ~partition geometry] is an empty (all-invalid) cache.
-    Default policy is {!Replacement.Lru}.
+val create : ?partition:int array -> Geometry.t -> t
+(** [create ~partition geometry] is an empty (all-invalid) LRU cache.
 
     [partition], when given, way-partitions every set among owners:
     [partition.(o)] is owner [o]'s way quota.  An owner at or above its
     quota evicts its own LRU line; an owner below it steals the LRU line of
     an over-quota owner (global LRU if nobody is over).  Quotas must be
-    positive and sum to at most the associativity; partitioning requires
-    the LRU policy.  Accesses then go through {!access_as}. *)
+    positive and sum to at most the associativity.  Accesses then go
+    through {!access_as}. *)
 
 val geometry : t -> Geometry.t
 (** The geometry this cache was created with. *)
@@ -47,7 +45,7 @@ val probe : t -> int -> bool
 (** [probe t addr] is [true] iff the line is present; no state change. *)
 
 val accesses : t -> int  (* mppm: unit accesses *)
-(** Total lookups since creation or the last {!reset_stats}. *)
+(** Total lookups since creation; {!restore} sets it to the saved count. *)
 
 val hits : t -> int  (* mppm: unit accesses *)
 (** Hits among {!accesses}. *)
@@ -55,23 +53,16 @@ val hits : t -> int  (* mppm: unit accesses *)
 val misses : t -> int  (* mppm: unit accesses *)
 (** Misses among {!accesses}. *)
 
-val miss_rate : t -> float  (* mppm: unit 1 *)
-(** Misses over accesses; 0 if no accesses. *)
-
-val reset_stats : t -> unit
-(** Clears the statistics counters, keeping cache contents. *)
-
-val clear : t -> unit
-(** Invalidates every line and clears statistics. *)
-
 val resident_lines : t -> int  (* mppm: unit sets*ways *)
 (** Number of currently valid lines (for occupancy assertions). *)
 
 val save : t -> (int -> unit) -> unit
-(** [save t put] hands the cache's whole state (contents, replacement
-    state and statistics) to [put], int by int. *)
+(** [save t put] hands the cache's whole state to [put], int by int: the
+    three statistics, each set's valid-way count, the tags of every set in
+    recency order and, when partitioned, the owner of every line.  That is
+    [3 + sets + sets * ways] ints, plus [sets * ways] when partitioned. *)
 
 val restore : t -> (unit -> int) -> unit
-(** [restore t get] puts [t], a cache of the same geometry, policy and
-    partition, into a state {!save} produced, read through [get]. *)
+(** [restore t get] puts [t], a cache of the same geometry and partition,
+    into a state {!save} produced, read through [get]. *)
 

@@ -40,7 +40,6 @@ let kib n = n * 1024
 let mib n = n * 1024 * 1024
 let set_index t addr = (addr lsr t.set_shift) land t.set_mask
 let tag t addr = addr lsr t.set_shift
-let line_address t addr = addr land lnot (t.line_bytes - 1)
 let lines t = t.num_sets * t.associativity
 
 let describe_size bytes =

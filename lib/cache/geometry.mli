@@ -31,10 +31,6 @@ val tag : t -> int -> int  (* mppm: unit _ -- line tag from untyped address bits
 (** [tag t addr] is the tag stored for [addr] (line address; distinct lines
     mapping to the same set have distinct tags). *)
 
-val line_address : t -> int -> int
-(** [line_address t addr] is [addr] with the intra-line offset cleared,
-    identifying the cache line. *)
-
 val lines : t -> int  (* mppm: unit sets*ways *)
 (** Total number of lines ([num_sets * associativity]). *)
 

@@ -10,7 +10,7 @@ type t = {
 let create geometry =
   let assoc = geometry.Geometry.associativity in
   {
-    cache = lazy (Cache.create ~policy:Replacement.Lru geometry);
+    cache = lazy (Cache.create geometry);
     current = Sdc.create ~assoc;
     total = Sdc.create ~assoc;
   }

@@ -189,23 +189,3 @@ let model_name = function
       "part:"
       ^ String.concat ","
           (List.map (Printf.sprintf "%g") (Array.to_list quotas))
-
-let of_string s =
-  match String.lowercase_ascii s with
-  | "foa" -> Foa
-  | "sdc" -> Sdc_competition
-  | "prob" -> Prob { iterations = 5 }
-  | s when String.length s > 5 && String.sub s 0 5 = "prob:" -> (
-      match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some iterations when iterations > 0 -> Prob { iterations }
-      | Some _ | None -> invalid_arg "Contention.of_string: bad prob iterations")
-  | s when String.length s > 5 && String.sub s 0 5 = "part:" -> (
-      try
-        Way_partition
-          (String.sub s 5 (String.length s - 5)
-          |> String.split_on_char ','
-          |> List.map float_of_string
-          |> Array.of_list)
-      with Failure _ -> invalid_arg "Contention.of_string: bad partition")
-  | _ ->
-      invalid_arg "Contention.of_string: expected foa|sdc|prob[:n]|part:<ways>"

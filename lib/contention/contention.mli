@@ -58,7 +58,5 @@ val predict_into : model -> Mppm_cache.Sdc.t array -> prediction -> unit  (* mpp
     allocates once per run. *)
 
 val model_name : model -> string
-(** Short display name ("FOA", "SDC-competition", ...). *)
-
-val of_string : string -> model
-(** "foa" | "sdc" | "prob[:iterations]" | "part:<w1,w2,...>". *)
+(** Short display name: "foa" | "sdc" | "prob:<iterations>" |
+    "part:<w1,w2,...>". *)

@@ -10,7 +10,6 @@ let of_trace n =
 
 let default = of_trace 2_000_000
 let quick = of_trace 1_000_000
-let large = of_trace 10_000_000
 
 let pp ppf t =
   Format.fprintf ppf "%dK-instruction traces, %dK-instruction intervals"

@@ -24,9 +24,6 @@ val default : t  (* mppm: unit scale *)
 val quick : t  (* mppm: unit scale *)
 (** 1M-instruction traces for smoke runs. *)
 
-val large : t  (* mppm: unit scale *)
-(** 10M-instruction traces (1:100 of the paper) for overnight-quality
-    numbers. *)
-
 val pp : Format.formatter -> t -> unit
-(** "trace 2.0M, interval 40.0K"-style rendering. *)
+(** "2000K-instruction traces, 40K-instruction intervals"-style
+    rendering. *)

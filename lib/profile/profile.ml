@@ -211,8 +211,6 @@ let window t ~start ~count =
     w_sdc = sdc;
   }
 
-let window_cpi w = w.w_cycles /. w.w_instructions
-
 let reduce_associativity t ~assoc =
   if assoc > t.llc_assoc then
     invalid_arg "Profile.reduce_associativity: cannot increase associativity";

@@ -167,9 +167,6 @@ val fill_window_cpi :  (* mppm: unit _ -> start:insns -> count:insns -> _ -> sum
 (** Like {!fill_window}, but sums only instructions and cycles (the two
     cells a window CPI needs); the other sums are left at 0. *)
 
-val window_cpi : window -> float  (* mppm: unit cycles/insns *)
-(** [w_cycles / w_instructions]. *)
-
 (* mppm: unit assoc:ways -> profile *)
 val reduce_associativity : t -> assoc:int -> t
 (** [reduce_associativity t ~assoc] derives the profile for an LLC of lower

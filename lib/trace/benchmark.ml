@@ -66,18 +66,6 @@ let validate t =
 let schedule_period t =
   List.fold_left (fun acc (_, d) -> acc + d) 0 t.schedule
 
-let phase_at t n =
-  if n < 0 then invalid_arg "Benchmark.phase_at: negative instruction index";
-  let period = schedule_period t in
-  let pos = n mod period in
-  let rec find offset = function
-    | [] -> assert false
-    | (phase, duration) :: rest ->
-        if pos < offset + duration then (phase, offset + duration - pos)
-        else find (offset + duration) rest
-  in
-  find 0 t.schedule
-
 let data_footprint t =
   List.fold_left
     (fun acc (p, _) ->

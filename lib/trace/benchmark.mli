@@ -62,11 +62,6 @@ type t = {
 val validate : t -> unit
 (** Raises [Invalid_argument] describing the first malformed field. *)
 
-val phase_at : t -> int -> phase * int
-(** [phase_at b n] is the phase active at instruction [n] (counting from 0,
-    cycling through the schedule) and the number of instructions remaining
-    in that phase occurrence (always >= 1). *)
-
 val schedule_period : t -> int
 (** Total instructions of one pass through the phase schedule. *)
 

@@ -11,8 +11,6 @@ let add_string h s =
   String.iter (fun c -> h := add_byte !h (Char.code c)) s;
   !h
 
-let add_int h n = add_byte (add_string h (string_of_int n)) 0x1f
-
 let of_string s = add_string empty s
 let of_value v = add_string empty (Marshal.to_string v [])
 let to_hex h = Printf.sprintf "%016Lx" h

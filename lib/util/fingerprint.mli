@@ -15,11 +15,6 @@ val empty : t
 val add_string : t -> string -> t
 (** [add_string t s] folds the bytes of [s] into [t]. *)
 
-val add_int : t -> int -> t
-(** [add_int t n] folds the decimal representation of [n] into [t],
-    followed by a separator byte, so adjacent fields cannot collide by
-    concatenation. *)
-
 val of_string : string -> t
 (** [of_string s] is [add_string empty s]. *)
 

@@ -36,25 +36,3 @@ let pearson a b =
   else !cov /. sqrt (!var_a *. !var_b)
 
 let spearman a b = pearson (ranks a) (ranks b)
-
-let rank_order a =
-  let n = Array.length a in
-  let order = Array.init n (fun i -> i) in
-  (* Stable sort keeps original order on ties. *)
-  let order_list = Array.to_list order in
-  let sorted =
-    List.stable_sort (fun i j -> compare a.(j) a.(i)) order_list
-  in
-  Array.of_list sorted
-
-let argmax a =
-  if Array.length a = 0 then invalid_arg "Rank.argmax: empty array";
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > a.(!best) then best := i) a;
-  !best
-
-let argmin a =
-  if Array.length a = 0 then invalid_arg "Rank.argmin: empty array";
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x < a.(!best) then best := i) a;
-  !best

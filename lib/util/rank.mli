@@ -1,5 +1,5 @@
-(** Rank statistics: Spearman rank correlation (with tie handling) and
-    ranking helpers.
+(** Rank statistics: Spearman rank correlation (with tie handling) over
+    Pearson correlation.
 
     Fig. 7 of the paper scores how well a small random workload sample
     ranks six LLC configurations against the reference ranking, using the
@@ -17,14 +17,3 @@ val spearman : float array -> float array -> float
 
 val pearson : float array -> float array -> float
 (** Pearson product-moment correlation coefficient. *)
-
-val rank_order : float array -> int array
-(** [rank_order a] is the permutation of indices that sorts [a] in
-    decreasing order, i.e. [rank_order a |> Array.get 0] is the index of
-    the best (largest) value.  Ties keep their original relative order. *)
-
-val argmax : float array -> int
-(** Index of the largest element (first on ties). *)
-
-val argmin : float array -> int
-(** Index of the smallest element (first on ties). *)

@@ -70,28 +70,10 @@ let float t bound = float_of_int (bits53 t) *. float_scale *. bound
    unchanged). *)
 let bernoulli t ~p = float_of_int (bits53 t) *. float_scale < p
 
-let geometric t ~p =
-  if not (p > 0.0 && p <= 1.0) then invalid_arg "Rng.geometric: p not in (0,1]";
-  if p >= 1.0 then 0
-  else
-    let u = float t 1.0 in
-    let u = if u <= 0.0 then epsilon_float else u in
-    int_of_float (floor (log u /. log (1.0 -. p)))
-
 let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then epsilon_float else u in
   -.mean *. log u
-
-let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 0.0 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

@@ -48,16 +48,8 @@ val float : t -> float -> float
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
 
-val geometric : t -> p:float -> int
-(** [geometric t ~p] is the number of failures before the first success of a
-    Bernoulli([p]) process; [p] must lie in (0, 1]. *)
-
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from an exponential distribution. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** [gaussian t ~mu ~sigma] draws from a normal distribution
-    (Box-Muller). *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly random element of [a], which must be

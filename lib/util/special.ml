@@ -99,26 +99,3 @@ let student_t_quantile ~df p =
       if student_t_cdf ~df mid < p then lo := mid else hi := mid
     done;
     0.5 *. (!lo +. !hi)
-
-(* Abramowitz & Stegun 7.1.26-style rational approximation refined with one
-   continued-fraction-free correction; relative error ~1e-7, plenty for
-   normal-CDF use in tests. *)
-let erfc x =
-  let z = abs_float x in
-  let t = 1.0 /. (1.0 +. (0.5 *. z)) in
-  let poly =
-    -1.26551223
-    +. (t *. (1.00002368
-    +. (t *. (0.37409196
-    +. (t *. (0.09678418
-    +. (t *. (-0.18628806
-    +. (t *. (0.27886807
-    +. (t *. (-1.13520398
-    +. (t *. (1.48851587
-    +. (t *. (-0.82215223
-    +. (t *. 0.17087277)))))))))))))))))
-  in
-  let ans = t *. exp ((-.z *. z) +. poly) in
-  if x >= 0.0 then ans else 2.0 -. ans
-
-let normal_cdf x = 0.5 *. erfc (-.x /. sqrt 2.0)

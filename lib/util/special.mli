@@ -22,6 +22,3 @@ val student_t_quantile : df:float -> float -> float
     t with P(T <= t) = [p], computed by bisection + Newton refinement.
     Requires [p] in (0, 1). *)
 
-val normal_cdf : float -> float
-(** Standard normal CDF via [erfc]. *)
-

@@ -13,28 +13,6 @@ let variance a =
 
 let stddev a = sqrt (variance a)
 
-let geometric_mean a =
-  ensure_nonempty "Stats.geometric_mean" a;
-  let log_sum =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.geometric_mean: non-positive sample"
-        else acc +. log x)
-      0.0 a
-  in
-  exp (log_sum /. float_of_int (Array.length a))
-
-let harmonic_mean a =
-  ensure_nonempty "Stats.harmonic_mean" a;
-  let inv_sum =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.harmonic_mean: non-positive sample"
-        else acc +. (1.0 /. x))
-      0.0 a
-  in
-  float_of_int (Array.length a) /. inv_sum
-
 let min_max a =
   ensure_nonempty "Stats.min_max" a;
   Array.fold_left
@@ -98,23 +76,3 @@ let mean_relative_error ~predicted ~measured =
     total := !total +. (abs_float (predicted.(i) -. measured.(i)) /. abs_float measured.(i))
   done;
   !total /. float_of_int n
-
-let max_relative_error ~predicted ~measured =
-  check_paired "Stats.max_relative_error" predicted measured;
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      if Float.equal measured.(i) 0.0 then
-        invalid_arg "Stats.max_relative_error: zero measured value";
-      let e = abs_float (p -. measured.(i)) /. abs_float measured.(i) in
-      if e > !worst then worst := e)
-    predicted;
-  !worst
-
-let running_mean_series a =
-  ensure_nonempty "Stats.running_mean_series" a;
-  let acc = ref 0.0 in
-  Array.to_list a
-  |> List.mapi (fun i x ->
-         acc := !acc +. x;
-         (i + 1, !acc /. float_of_int (i + 1)))

@@ -15,12 +15,6 @@ val variance : float array -> float
 val stddev : float array -> float
 (** Square root of {!variance}. *)
 
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive samples. *)
-
-val harmonic_mean : float array -> float
-(** Harmonic mean of strictly positive samples. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest sample. *)
 
@@ -53,11 +47,3 @@ val mean_relative_error : predicted:float array -> measured:float array -> float
 (** [mean_relative_error ~predicted ~measured] is the average of
     [|predicted.(i) - measured.(i)| / measured.(i)], the paper's accuracy
     metric.  Arrays must have equal non-zero length. *)
-
-val max_relative_error : predicted:float array -> measured:float array -> float
-(** Largest single relative error. *)
-
-val running_mean_series :
-  float array -> (int * float) list
-(** [running_mean_series a] is the prefix means [(1, mean a.(0..0)); ...],
-    used to show convergence as sample count grows. *)

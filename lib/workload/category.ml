@@ -24,11 +24,6 @@ type composition = All_mem | All_comp | Half_half
 
 let compositions = [ All_mem; All_comp; Half_half ]
 
-let composition_name = function
-  | All_mem -> "MEM"
-  | All_comp -> "COMP"
-  | Half_half -> "MIX"
-
 let draw rng pool count =
   if Array.length pool = 0 then
     invalid_arg "Category.random_mix: empty benchmark class";

@@ -28,9 +28,6 @@ type composition = All_mem | All_comp | Half_half
 val compositions : composition list
 (** [All_mem; All_comp; Half_half]. *)
 
-val composition_name : composition -> string
-(** "MEM", "COMP" or "MIX". *)
-
 val random_mix :
   Mppm_util.Rng.t ->
   mem:int array ->

@@ -26,23 +26,3 @@ let distinct_random_mixes rng ~cores ~count =
     end
   done;
   Array.of_list (List.rev !result)
-
-let uniform_multiset_mixes rng ~cores ~count =
-  Array.init count (fun _ ->
-      Mix.of_indices ~n (Combinatorics.random_multiset rng ~n ~m:cores))
-
-let all_mixes ~cores =
-  Combinatorics.enumerate_multisets ~n ~m:cores
-  |> List.map (Mix.of_indices ~n)
-  |> Array.of_list
-
-let category_sets rng ~mem ~comp ~cores ~sets ~per_composition =
-  Array.init sets (fun _ ->
-      Category.compositions
-      |> List.concat_map (fun composition ->
-             List.init per_composition (fun _ ->
-                 Category.random_mix rng ~mem ~comp ~cores composition))
-      |> Array.of_list)
-
-let random_sets rng ~cores ~sets ~per_set =
-  Array.init sets (fun _ -> random_mixes rng ~cores ~count:per_set)

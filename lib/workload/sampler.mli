@@ -3,8 +3,8 @@
     Two sampling regimes matter in the paper: {e current practice} draws a
     small number of random mixes (each core slot filled independently at
     random, possibly within categories), while {e MPPM-style evaluation}
-    draws a very large sample — or, for small populations, enumerates
-    everything. *)
+    draws a very large sample.  Category-constrained mixes come from
+    {!Category.random_mix}. *)
 
 val random_mixes :
   Mppm_util.Rng.t -> cores:int -> count:int -> Mix.t array
@@ -16,30 +16,3 @@ val distinct_random_mixes :
   Mppm_util.Rng.t -> cores:int -> count:int -> Mix.t array
 (** Like {!random_mixes} but rejects duplicate mixes, drawing until [count]
     distinct ones exist.  Requires [count] not to exceed the population. *)
-
-val uniform_multiset_mixes :
-  Mppm_util.Rng.t -> cores:int -> count:int -> Mix.t array
-(** Draws uniformly over the {e multiset population} (each of the
-    C(29+m-1, m) mixes equally likely), the right notion when estimating
-    population statistics such as Fig. 3's confidence intervals. *)
-
-val all_mixes : cores:int -> Mix.t array
-(** Enumerates the entire population; intended for 2 cores (435 mixes) or
-    3 (4,495).  Raises [Invalid_argument] beyond 10M mixes. *)
-
-val category_sets :
-  Mppm_util.Rng.t ->
-  mem:int array ->
-  comp:int array ->
-  cores:int ->
-  sets:int ->
-  per_composition:int ->
-  Mix.t array array
-(** [category_sets rng ~mem ~comp ~cores ~sets ~per_composition] builds
-    [sets] workload sets, each containing [per_composition] mixes of every
-    composition (paper Fig. 7(b): 4 MEM / 4 COMP / 4 MIX). *)
-
-val random_sets :
-  Mppm_util.Rng.t -> cores:int -> sets:int -> per_set:int -> Mix.t array array
-(** [random_sets rng ~cores ~sets ~per_set] builds [sets] independent sets
-    of [per_set] random mixes (paper Fig. 7(a): 20 sets of 12). *)

@@ -3,7 +3,6 @@
    hierarchy. *)
 
 module Geometry = Mppm_cache.Geometry
-module Replacement = Mppm_cache.Replacement
 module Cache = Mppm_cache.Cache
 module Sdc = Mppm_cache.Sdc
 module Sdc_profiler = Mppm_cache.Sdc_profiler
@@ -32,7 +31,6 @@ let test_geometry_indexing () =
   Alcotest.(check int) "sets wrap" 0 (Geometry.set_index g (4 * 64));
   Alcotest.(check int) "offset ignored" (Geometry.set_index g 64)
     (Geometry.set_index g (64 + 63));
-  Alcotest.(check int) "line address clears offset" 64 (Geometry.line_address g 127);
   Alcotest.(check bool) "tags differ across conflicting lines" true
     (Geometry.tag g 0 <> Geometry.tag g (4 * 64))
 
@@ -49,16 +47,6 @@ let test_geometry_describe () =
   Alcotest.(check string) "KB" "512KB" (Geometry.describe_size (Geometry.kib 512));
   Alcotest.(check string) "MB" "2MB" (Geometry.describe_size (Geometry.mib 2));
   Alcotest.(check string) "B" "100B" (Geometry.describe_size 100)
-
-(* ---- Replacement ----------------------------------------------------- *)
-
-let test_replacement_strings () =
-  Alcotest.(check string) "lru" "lru" (Replacement.to_string Replacement.Lru);
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "roundtrip" true
-        (Replacement.of_string (Replacement.to_string p) = p))
-    [ Replacement.Lru; Replacement.Fifo; Replacement.Random 7 ]
 
 (* ---- Cache: reference-model validation ------------------------------- *)
 
@@ -141,11 +129,7 @@ let test_cache_stats () =
   ignore (Cache.access cache 64);
   Alcotest.(check int) "accesses" 3 (Cache.accesses cache);
   Alcotest.(check int) "hits" 1 (Cache.hits cache);
-  Alcotest.(check int) "misses" 2 (Cache.misses cache);
-  check_float "miss rate" (2.0 /. 3.0) (Cache.miss_rate cache);
-  Cache.reset_stats cache;
-  Alcotest.(check int) "reset" 0 (Cache.accesses cache);
-  Alcotest.(check bool) "contents survive reset" true (Cache.access cache 0 > 0)
+  Alcotest.(check int) "misses" 2 (Cache.misses cache)
 
 let test_cache_probe () =
   let cache = Cache.create small_geometry in
@@ -154,36 +138,71 @@ let test_cache_probe () =
   Alcotest.(check bool) "present" true (Cache.probe cache 0);
   Alcotest.(check int) "probe does not count" 1 (Cache.accesses cache)
 
+(* The ints [Cache.save] hands out, in order. *)
+let saved cache =
+  let ints = ref [] in
+  Cache.save cache (fun n -> ints := n :: !ints);
+  Array.of_list (List.rev !ints)
+
+(* Put [cache] into the state [ints] describe; fails unless [restore]
+   reads every int. *)
+let restore_from cache ints =
+  let next = ref 0 in
+  Cache.restore cache (fun () ->
+      let n = ints.(!next) in
+      incr next;
+      n);
+  Alcotest.(check int) "restore reads every saved int" (Array.length ints) !next
+
+(* Restoring a fresh cache's state clears a used one. *)
 let test_cache_clear_and_occupancy () =
   let cache = Cache.create small_geometry in
   for i = 0 to 9 do
     ignore (Cache.access cache (i * 64))
   done;
   Alcotest.(check int) "resident lines" 10 (Cache.resident_lines cache);
-  Cache.clear cache;
+  restore_from cache (saved (Cache.create small_geometry));
   Alcotest.(check int) "cleared" 0 (Cache.resident_lines cache);
+  Alcotest.(check int) "statistics cleared" 0 (Cache.accesses cache);
   Alcotest.(check bool) "all cold again" true (Cache.access cache 0 = 0)
 
-let test_cache_fifo_no_refresh () =
-  let cache = Cache.create ~policy:Replacement.Fifo small_geometry in
-  let line i = i * 4 * 64 in
-  for i = 0 to 3 do
-    ignore (Cache.access cache (line i))
-  done;
-  (* Refresh line 0; under FIFO this must NOT save it from eviction. *)
-  ignore (Cache.access cache (line 0));
-  ignore (Cache.access cache (line 4));
-  Alcotest.(check bool) "line 0 evicted despite refresh" true
-    (Cache.access cache (line 0) = 0)
+(* The layout recorded stream segments carry for the private caches
+   (Hierarchy.save_private): 3 statistics, one fill per set, the tags of
+   every way and, when partitioned, the owner of every way. *)
+let test_cache_save_layout () =
+  let sets = small_geometry.Geometry.num_sets in
+  let ways = small_geometry.Geometry.associativity in
+  Alcotest.(check int) "unpartitioned" (3 + sets + (sets * ways))
+    (Array.length (saved (Cache.create small_geometry)));
+  Alcotest.(check int) "partitioned" (3 + sets + (2 * sets * ways))
+    (Array.length (saved (Cache.create ~partition:[| 2; 2 |] small_geometry)))
 
-let test_cache_random_bounded () =
-  let cache = Cache.create ~policy:(Replacement.Random 3) small_geometry in
-  let rng = Rng.create ~seed:11 in
-  for _ = 1 to 10_000 do
-    ignore (Cache.access cache (Rng.int rng 64 * 64))
-  done;
-  Alcotest.(check bool) "occupancy bounded" true
-    (Cache.resident_lines cache <= Geometry.lines small_geometry)
+(* A restored copy answers a seeded access sequence exactly as the cache
+   it was saved from, owners and statistics included. *)
+let test_cache_restore_replays () =
+  List.iter
+    (fun (label, partition) ->
+      let original = Cache.create ?partition small_geometry in
+      let warm = random_addresses ~seed:3 ~count:500 ~span:128 in
+      Array.iteri
+        (fun i addr -> ignore (Cache.access_as original ~owner:(i mod 2) addr))
+        warm;
+      let copy = Cache.create ?partition small_geometry in
+      restore_from copy (saved original);
+      Array.iteri
+        (fun i addr ->
+          let owner = i mod 2 in
+          let want = Cache.access_as original ~owner addr in
+          let got = Cache.access_as copy ~owner addr in
+          if got <> want then
+            Alcotest.failf "%s: access %d (addr %d): got %s want %s" label i
+              addr (show_code got) (show_code want))
+        (random_addresses ~seed:4 ~count:2_000 ~span:128);
+      Alcotest.(check (array int)) (label ^ ": same state") (saved original)
+        (saved copy);
+      Alcotest.(check int) (label ^ ": owner 1 lines")
+        (Cache.owner_lines original ~owner:1) (Cache.owner_lines copy ~owner:1))
+    [ ("unpartitioned", None); ("partitioned", Some [| 3; 1 |]) ]
 
 let test_cache_working_set_behaviour () =
   (* A working set that fits has ~100% steady-state hits; double the size
@@ -511,8 +530,6 @@ let tests =
         Alcotest.test_case "invalid geometry" `Quick test_geometry_invalid;
         Alcotest.test_case "describe_size" `Quick test_geometry_describe;
       ] );
-    ( "cache.replacement",
-      [ Alcotest.test_case "string roundtrip" `Quick test_replacement_strings ] );
     ( "cache.cache",
       [
         Alcotest.test_case "matches reference LRU" `Quick test_cache_matches_reference;
@@ -521,8 +538,8 @@ let tests =
         Alcotest.test_case "statistics" `Quick test_cache_stats;
         Alcotest.test_case "probe" `Quick test_cache_probe;
         Alcotest.test_case "clear and occupancy" `Quick test_cache_clear_and_occupancy;
-        Alcotest.test_case "FIFO ignores refresh" `Quick test_cache_fifo_no_refresh;
-        Alcotest.test_case "random policy bounded" `Quick test_cache_random_bounded;
+        Alcotest.test_case "save layout" `Quick test_cache_save_layout;
+        Alcotest.test_case "restore replays" `Quick test_cache_restore_replays;
         Alcotest.test_case "working-set behaviour" `Quick test_cache_working_set_behaviour;
       ] );
     ( "cache.sdc",

@@ -132,15 +132,18 @@ let test_validations () =
          Contention.predict Contention.Foa
            [| Sdc.create ~assoc:8; Sdc.create ~assoc:4 |]))
 
+(* The names the model trace records as its "contention" field. *)
 let test_model_names () =
   List.iter
-    (fun m ->
-      Alcotest.(check bool) "name roundtrip" true
-        (Contention.of_string (Contention.model_name m) = m))
-    [ Contention.Foa; Contention.Sdc_competition; Contention.Prob { iterations = 3 } ];
-  Alcotest.(check bool) "unknown raises" true
-    (try ignore (Contention.of_string "magic"); false
-     with Invalid_argument _ -> true)
+    (fun (m, name) ->
+      Alcotest.(check string) name name (Contention.model_name m))
+    [
+      (Contention.Foa, "foa");
+      (Contention.Sdc_competition, "sdc");
+      (Contention.Prob { iterations = 3 }, "prob:3");
+      (Contention.Way_partition [| 2.0; 6.0 |], "part:2,6");
+      (Contention.Way_partition [| 1.5; 6.5 |], "part:1.5,6.5");
+    ]
 
 let qcheck_tests =
   let open QCheck in

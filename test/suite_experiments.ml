@@ -46,8 +46,7 @@ let test_scale_of_trace () =
 
 let test_scale_presets () =
   Alcotest.(check int) "default" 2_000_000 Scale.default.Scale.trace_instructions;
-  Alcotest.(check int) "quick" 1_000_000 Scale.quick.Scale.trace_instructions;
-  Alcotest.(check int) "large" 10_000_000 Scale.large.Scale.trace_instructions
+  Alcotest.(check int) "quick" 1_000_000 Scale.quick.Scale.trace_instructions
 
 (* ---- Context ------------------------------------------------------------- *)
 

@@ -31,10 +31,6 @@ let test_partition_validation () =
     (invalid (fun () -> Cache.create ~partition:[| 3; 3 |] part_geometry));
   Alcotest.(check bool) "zero quota" true
     (invalid (fun () -> Cache.create ~partition:[| 0; 4 |] part_geometry));
-  Alcotest.(check bool) "needs LRU" true
-    (invalid (fun () ->
-         Cache.create ~policy:Mppm_cache.Replacement.Fifo ~partition:[| 2; 2 |]
-           part_geometry));
   let cache = Cache.create ~partition:[| 2; 2 |] part_geometry in
   Alcotest.(check bool) "owner out of range" true
     (invalid (fun () -> Cache.access_as cache ~owner:2 0))
@@ -139,11 +135,6 @@ let test_way_partition_contention () =
   let p2 = Contention.predict (Contention.Way_partition [| 4.0; 4.0 |]) [| heavy; b |] in
   check_close 1e-9 "partition isolates b" p.Contention.shared_misses.(1)
     p2.Contention.shared_misses.(1)
-
-let test_way_partition_string_roundtrip () =
-  let m = Contention.Way_partition [| 2.0; 6.0 |] in
-  Alcotest.(check bool) "roundtrip" true
-    (Contention.of_string (Contention.model_name m) = m)
 
 (* ---- static model -------------------------------------------------------------- *)
 
@@ -521,7 +512,6 @@ let tests =
     ( "extensions.way_partition_model",
       [
         Alcotest.test_case "quota semantics" `Quick test_way_partition_contention;
-        Alcotest.test_case "string roundtrip" `Quick test_way_partition_string_roundtrip;
       ] );
     ( "extensions.static_model",
       [

@@ -491,11 +491,6 @@ let test_fingerprint_separation () =
     Fingerprint.to_hex (Fingerprint.add_string (Fingerprint.of_string a) b)
   in
   Alcotest.(check string) "add_string is a plain byte fold" (h "ab" "c") (h "a" "bc");
-  let i a b =
-    Fingerprint.to_hex (Fingerprint.add_int (Fingerprint.add_int Fingerprint.empty a) b)
-  in
-  Alcotest.(check bool) "ints cannot concatenate-collide" true
-    (i 12 3 <> i 1 23);
   Alcotest.(check bool) "of_value distinguishes values" true
     (Fingerprint.of_value (1, "x") <> Fingerprint.of_value (2, "x"));
   Alcotest.(check bool) "of_value is stable" true

@@ -83,24 +83,9 @@ let test_validate_rejects_bad_specs () =
     (invalid
        (bad_phase (phase "p" [ region ~pattern:(Benchmark.Strided 8192) "r" 4096 1.0 ])))
 
-let test_phase_at () =
-  let b = two_phase_benchmark in
-  Alcotest.(check int) "period" 1500 (Benchmark.schedule_period b);
-  let p, remaining = Benchmark.phase_at b 0 in
-  Alcotest.(check string) "first phase" "memory" p.Benchmark.phase_name;
-  Alcotest.(check int) "remaining" 1000 remaining;
-  let p, remaining = Benchmark.phase_at b 999 in
-  Alcotest.(check string) "end of first" "memory" p.Benchmark.phase_name;
-  Alcotest.(check int) "one left" 1 remaining;
-  let p, _ = Benchmark.phase_at b 1000 in
-  Alcotest.(check string) "second phase" "compute" p.Benchmark.phase_name;
-  let p, _ = Benchmark.phase_at b 1500 in
-  Alcotest.(check string) "cycles" "memory" p.Benchmark.phase_name;
-  let p, _ = Benchmark.phase_at b (1500 * 7 + 1200) in
-  Alcotest.(check string) "deep cycling" "compute" p.Benchmark.phase_name
-
 let test_footprint_and_ratio () =
   let b = two_phase_benchmark in
+  Alcotest.(check int) "period" 1500 (Benchmark.schedule_period b);
   Alcotest.(check int) "footprint is max over phases" 4096 (Benchmark.data_footprint b);
   check_close 1e-9 "mean mem ratio" (0.5 *. 1000.0 /. 1500.0) (Benchmark.mean_mem_ratio b)
 
@@ -375,7 +360,6 @@ let tests =
     ( "trace.benchmark",
       [
         Alcotest.test_case "validation" `Quick test_validate_rejects_bad_specs;
-        Alcotest.test_case "phase_at" `Quick test_phase_at;
         Alcotest.test_case "footprint and ratio" `Quick test_footprint_and_ratio;
       ] );
     ( "trace.generator",

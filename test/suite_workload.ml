@@ -94,10 +94,6 @@ let test_category_empty_class_raises () =
        false
      with Invalid_argument _ -> true)
 
-let test_composition_names () =
-  Alcotest.(check (list string)) "names" [ "MEM"; "COMP"; "MIX" ]
-    (List.map Category.composition_name Category.compositions)
-
 (* ---- Sampler ------------------------------------------------------------------ *)
 
 let test_random_mixes_shape () =
@@ -123,41 +119,6 @@ let test_distinct_random_mixes () =
        ignore (Sampler.distinct_random_mixes rng ~cores:1 ~count:30);
        false
      with Invalid_argument _ -> true)
-
-let test_all_mixes () =
-  let mixes = Sampler.all_mixes ~cores:2 in
-  Alcotest.(check int) "dual-core population" 435 (Array.length mixes);
-  let keys = Array.to_list (Array.map Mix.to_string mixes) in
-  Alcotest.(check int) "all distinct" 435 (List.length (List.sort_uniq compare keys))
-
-let test_uniform_multiset_mixes () =
-  let rng = Rng.create ~seed:11 in
-  let mixes = Sampler.uniform_multiset_mixes rng ~cores:3 ~count:30 in
-  Alcotest.(check int) "count" 30 (Array.length mixes);
-  Array.iter (fun m -> Alcotest.(check int) "size" 3 (Mix.size m)) mixes
-
-let test_category_sets_shape () =
-  let rng = Rng.create ~seed:13 in
-  let sets =
-    Sampler.category_sets rng ~mem:[| 0; 1; 2 |] ~comp:[| 5; 6; 7 |] ~cores:4
-      ~sets:5 ~per_composition:4
-  in
-  Alcotest.(check int) "sets" 5 (Array.length sets);
-  Array.iter
-    (fun set -> Alcotest.(check int) "4 MEM + 4 COMP + 4 MIX" 12 (Array.length set))
-    sets
-
-let test_random_sets_shape () =
-  let rng = Rng.create ~seed:17 in
-  let sets = Sampler.random_sets rng ~cores:4 ~sets:20 ~per_set:12 in
-  Alcotest.(check int) "20 sets" 20 (Array.length sets);
-  Array.iter
-    (fun set -> Alcotest.(check int) "12 mixes each" 12 (Array.length set))
-    sets;
-  (* Independent sets should not all be identical. *)
-  let first = Array.map Mix.to_string sets.(0) in
-  let second = Array.map Mix.to_string sets.(1) in
-  Alcotest.(check bool) "sets differ" true (first <> second)
 
 let test_suite_classification_is_reasonable () =
   (* Classifying the real suite with real profiles should produce both
@@ -211,7 +172,6 @@ let tests =
         Alcotest.test_case "partition" `Quick test_partition;
         Alcotest.test_case "compositions" `Quick test_category_random_mix_compositions;
         Alcotest.test_case "empty class" `Quick test_category_empty_class_raises;
-        Alcotest.test_case "composition names" `Quick test_composition_names;
         Alcotest.test_case "real-suite classification" `Slow
           test_suite_classification_is_reasonable;
       ] );
@@ -220,10 +180,6 @@ let tests =
         Alcotest.test_case "random mixes" `Quick test_random_mixes_shape;
         Alcotest.test_case "deterministic" `Quick test_random_mixes_deterministic;
         Alcotest.test_case "distinct mixes" `Quick test_distinct_random_mixes;
-        Alcotest.test_case "full enumeration" `Quick test_all_mixes;
-        Alcotest.test_case "uniform multisets" `Quick test_uniform_multiset_mixes;
-        Alcotest.test_case "category sets" `Quick test_category_sets_shape;
-        Alcotest.test_case "random sets" `Quick test_random_sets_shape;
       ] );
     ("workload.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
